@@ -31,7 +31,7 @@ from .solver import (
 )
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
-from .walk import CoinParams, WalkerState, build_walk_operator, line_walk
+from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_walk
 
 __all__ = ["certificate_from_json", "certificate_to_json", "main"]
 
@@ -86,16 +86,26 @@ def certificate_from_json(record: dict) -> RevivalCertificate:
     )
 
 
-def _coin_params(args) -> CoinParams:
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CliError(2, message)
+
+
+def _coin_params(args) -> tuple[CoinParams, Fraction | None]:
+    """The coin, and delta/(2*pi) when it came from --delta-frac."""
     rho = parse_value(args.rho) if args.rho is not None else 0.5
+    dtp, beta = None, 0.0
     if args.delta_frac is not None:
         dtp = parse_fraction(args.delta_frac)
-        if not 0 <= dtp < 1:
-            raise CliError(2, f"--delta-frac must lie in [0, 1), got {dtp}")
-        return CoinParams.from_delta(rho, TWO_PI * float(dtp))
-    alpha = parse_value(args.alpha) if args.alpha is not None else 0.0
-    beta = parse_value(args.beta) if args.beta is not None else 0.0
-    return CoinParams(rho, alpha, beta)
+        _require(0 <= dtp < 1, f"--delta-frac must lie in [0, 1), got {dtp}")
+        alpha = TWO_PI * float(dtp)
+    else:
+        alpha = parse_value(args.alpha) if args.alpha is not None else 0.0
+        beta = parse_value(args.beta) if args.beta is not None else 0.0
+    try:
+        return CoinParams(rho, alpha, beta), dtp
+    except ValueError as exc:
+        raise CliError(2, str(exc)) from exc
 
 
 def _initial_cycle_state(label: str, k: int) -> WalkerState:
@@ -147,7 +157,8 @@ def rows_to_json(rows, header):
 
 
 def cmd_simulate(args) -> int:
-    params = _coin_params(args)
+    _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
+    params, _ = _coin_params(args)
     header = ["step", "position", "coin", "re", "im", "prob"]
     rows = []
     if args.line:
@@ -166,13 +177,13 @@ def cmd_simulate(args) -> int:
         raise CliError(2, "--k is required unless --line is given")
     state = _initial_cycle_state(args.initial, args.k)
     op = build_walk_operator(args.k, params)
-    amps = np.array(state.amplitudes)
+    amps = state.amplitudes
     for t in range(args.steps + 1):
         for i in range(args.k):
             for coin in (0, 1):
                 amp = amps[2 * i + coin]
                 rows.append([t, i, coin, amp.real, amp.imag, abs(amp) ** 2])
-        amps = op.matrix @ amps
+        amps = op.step(amps)
     _emit_rows(rows, header, args)
     return 0
 
@@ -201,8 +212,8 @@ def cmd_verify(args) -> int:
         return 0 if report.all_pass else 1
     if args.k is None or args.rho is None or args.delta_frac is None or args.n is None:
         raise CliError(2, "single checks need --k, --rho, --delta-frac and --n")
-    dtp = parse_fraction(args.delta_frac)
-    params = CoinParams.from_delta(parse_value(args.rho), TWO_PI * float(dtp))
+    _require(args.n >= 1, f"--n must be at least 1 (U^0 = I certifies nothing), got {args.n}")
+    params, dtp = _coin_params(args)
     deviation = power_deviation(args.k, params, args.n)
     passed = bool(deviation < args.tol)
     print(
@@ -268,6 +279,8 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
 
 
 def cmd_solve(args) -> int:
+    _require(args.max_den >= 1, f"--max-den must be positive, got {args.max_den}")
+    _require(args.max_n is None or args.max_n >= 1, f"--max-n must be positive, got {args.max_n}")
     try:
         certificates = _solve_certificates(args)
     except ValueError as exc:
@@ -279,8 +292,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_special(args) -> int:
-    dtp = parse_fraction(args.delta_frac)
-    params = CoinParams.from_delta(parse_value(args.rho), TWO_PI * float(dtp))
+    _require(args.period >= 1, f"--period must be positive, got {args.period}")
+    params, dtp = _coin_params(args)
     basis = eigenbasis(args.k, params)
     subspace = demoivre_subspace(basis, args.period, tol=args.tol)
     if subspace is None:
@@ -310,11 +323,10 @@ def cmd_special(args) -> int:
         raise CliError(1, str(exc)) from exc
 
     op = build_walk_operator(args.k, params)
-    amps = np.array(state.amplitudes)
-    fidelities = []
-    for _ in range(args.period + 1):
-        fidelities.append(float(abs(np.vdot(state.amplitudes, amps))))
-        amps = op.matrix @ amps
+    fidelities = [
+        float(abs(np.vdot(state.amplitudes, evolve(state, op, t).amplitudes)))
+        for t in range(args.period + 1)
+    ]
     payload = {
         "k": args.k,
         "rho": params.rho,
@@ -392,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _require(args.k is None or args.k >= 2, f"--k must be at least 2, got {args.k}")
         return args.func(args)
     except CliError as exc:
         print(f"cyclewalk: {exc}", file=sys.stderr)

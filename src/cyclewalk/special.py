@@ -2,8 +2,8 @@
 
 When only a subset of the eigenvalues are N-th roots of unity, any state in
 the span of their eigenvectors returns after N steps even though U^N != I.
-Full-space eigenvectors come from the 2x2 block eigenvectors pushed back
-through the Fourier similarity.
+Full-space eigenvectors are the closed-form 2x2 block eigenvectors times a
+plane wave over positions.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import block_diagonalize, walk_fourier
+from .spectral import DEGENERACY_TOL, block_eigenpairs
 from .walk import CoinParams, WalkerState, build_walk_operator, evolve
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "demoivre_subspace",
     "eigenbasis",
 ]
-
-EIGEN_RESIDUAL_TOL = 1e-10
-DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,33 +65,19 @@ class DeMoivreSubspace(EigenBasis):
 
 
 def eigenbasis(k: int, params: CoinParams) -> EigenBasis:
-    """All 2k eigenpairs, assembled block by block.
-
-    A repeated block eigenvalue means the (normal) 2x2 block is a scalar,
-    so the computational basis serves as the orthonormal eigenvector choice
-    and the pair is flagged degenerate.
+    """All 2k eigenpairs: block l's coin eigenvectors times exp(-2*pi*i*j*l/k)/sqrt(k)
+    at position j.  A block with a repeated eigenvalue is a scalar, so the coin's
+    computational basis is the eigenvector choice and the pair is flagged degenerate.
     """
-    op = build_walk_operator(k, params)
-    bd = block_diagonalize(op)
-    f_dag = walk_fourier(k).conj().T
+    values, vectors = block_eigenpairs(build_walk_operator(k, params))
     pairs = []
     for l in range(k):
-        values = bd.eigenvalues[l]
-        vectors = bd.eigenvectors[l]
-        degenerate = bool(abs(values[0] - values[1]) < DEGENERACY_TOL)
-        if degenerate:
-            vectors = np.eye(2, dtype=np.complex128)
+        wave = np.exp(-2j * np.pi * l / k * np.arange(k)) / np.sqrt(k)
+        degenerate = bool(abs(values[l, 0] - values[l, 1]) < DEGENERACY_TOL)
         for j in range(2):
-            embedded = np.zeros(2 * k, dtype=np.complex128)
-            embedded[2 * l : 2 * l + 2] = vectors[:, j]
-            vector = f_dag @ embedded
-            residual = float(np.linalg.norm(op.matrix @ vector - values[j] * vector))
-            if residual > EIGEN_RESIDUAL_TOL:
-                raise RuntimeError(
-                    f"eigenvector residual {residual:.3e} at block {l}, branch {j}"
-                )
+            vector = np.outer(wave, vectors[l, :, j]).reshape(-1)
             vector.setflags(write=False)
-            pairs.append(EigenPair(complex(values[j]), vector, l, j, degenerate))
+            pairs.append(EigenPair(complex(values[l, j]), vector, l, j, degenerate))
     return EigenBasis(k=k, params=params, pairs=tuple(pairs))
 
 

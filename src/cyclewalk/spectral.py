@@ -2,8 +2,10 @@
 
 The one-step operator of a k-cycle walk is block circulant with 2x2 blocks,
 so conjugating with kron(F_k, F_2) collapses it into k independent 2x2
-unitaries.  Revival detection and special-state construction both read the
-spectrum off those blocks.
+unitaries.  Revival detection and special-state construction read the
+spectrum off those blocks in closed form, O(k) for all of them, from the
+operator's Fourier symbols (see `walk.WalkOperator`).  The dense
+conjugation `block_diagonalize` is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinParams, WalkOperator
+from .walk import CoinParams, WalkOperator, build_walk_operator
 
 __all__ = [
     "BLOCK_RESIDUAL_TOL",
-    "BlockCirculantVector",
+    "DEGENERACY_TOL",
     "BlockDiagonalForm",
     "BlockStructureError",
     "block_diagonalize",
+    "block_eigenpairs",
     "block_formula",
-    "circulant_vector",
-    "eigenphase_power",
     "eigenvalues_closed_form",
     "fourier_matrix",
     "full_spectrum",
@@ -36,6 +37,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 BLOCK_RESIDUAL_TOL = 1e-10
+DEGENERACY_TOL = 1e-10
 
 
 class BlockStructureError(RuntimeError):
@@ -64,34 +66,6 @@ def principal_phase(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockCirculantVector:
-    """First block row of a block-circulant matrix; entry j is the block at offset j."""
-
-    k: int
-    blocks: tuple
-
-
-def circulant_vector(op: WalkOperator) -> BlockCirculantVector:
-    """Extract the defining block row of a step operator, checking circulant structure."""
-    u = op.matrix
-    k = op.k
-    blocks = []
-    for j in range(k):
-        block = np.array(u[0:2, 2 * j : 2 * j + 2])
-        block.setflags(write=False)
-        blocks.append(block)
-    for m in range(k):
-        for n in range(k):
-            expected = blocks[(n - m) % k]
-            got = u[2 * m : 2 * m + 2, 2 * n : 2 * n + 2]
-            if np.max(np.abs(got - expected)) > 1e-12:
-                raise BlockStructureError(
-                    f"operator is not block circulant at block ({m}, {n})"
-                )
-    return BlockCirculantVector(k=k, blocks=tuple(blocks))
-
-
-@dataclass(frozen=True)
 class BlockDiagonalForm:
     """The k 2x2 diagonal blocks of F U F^dagger plus each block's eigenpairs.
 
@@ -114,6 +88,7 @@ def _sorted_block_eig(block: np.ndarray):
 def block_diagonalize(op: WalkOperator) -> BlockDiagonalForm:
     """Conjugate the step operator with kron(F_k, F_2) and collect the 2x2 blocks.
 
+    Dense and O(k^3): a test oracle for the closed forms, not used in production.
     Raises BlockStructureError when the off-block residual exceeds
     BLOCK_RESIDUAL_TOL, which can only happen if the operator was built
     inconsistently with the circulant layout.
@@ -188,40 +163,39 @@ def eigenvalues_closed_form(
     return tuple(sorted(pair, key=lambda z: cmath.phase(z) % TWO_PI))
 
 
+def block_eigenpairs(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of every block in closed form: values (k, 2) and coin vectors (k, 2, 2).
+
+    Row l is block l of F U F^dagger, the symbol A_{-l mod k}, with eigenvalues
+    exp(i*phi) exp(+-i*theta) sorted by principal phase; vectors[l][:, j] belongs
+    to values[l, j].  A block within DEGENERACY_TOL of a scalar gets the coin basis.
+    """
+    m = -np.arange(op.k) % op.k
+    x, y, sin_t, theta = (part[m] for part in op.su2)
+    values = np.exp(1j * (0.5 * (op.params.delta + math.pi) + np.stack([theta, -theta], axis=1)))
+    # V v = exp(i*theta) v, from whichever row of V - exp(i*theta) I is better conditioned
+    a = x.imag
+    top = a >= 0.0
+    v = np.stack([np.where(top, -1j * (a + sin_t), y), np.where(top, y.conj(), 1j * (sin_t - a))])
+    norm = np.sqrt(2.0 * sin_t * (sin_t + np.abs(a)))
+    v = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0.0)
+    w = np.stack([-v[1].conj(), v[0].conj()])  # the orthogonal eigenvector, for exp(-i*theta)
+    order = np.argsort(principal_phase(values), axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(np.stack([v.T, w.T], axis=-1), order[:, None, :], axis=2)
+    vectors[2.0 * sin_t < DEGENERACY_TOL] = np.eye(2)
+    residual = np.max(np.abs(op.symbols[m] @ vectors - vectors * values[:, None, :]))
+    if residual > BLOCK_RESIDUAL_TOL:
+        raise BlockStructureError(f"block eigenvector residual {residual:.3e}")
+    return values, vectors
+
+
 def full_spectrum(k: int, params: CoinParams) -> np.ndarray:
     """All 2k eigenvalues of the step operator, block-major.
 
-    Entries [2l, 2l+1] are block l's phase-sorted pair from the closed form.
+    Entries [2l, 2l+1] are block l's phase-sorted pair, see `block_eigenpairs`.
     """
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
-    out = np.empty(2 * k, dtype=np.complex128)
-    for l in range(k):
-        out[2 * l], out[2 * l + 1] = eigenvalues_closed_form(k, l, params)
-    return out
-
-
-def eigenphase_power(op: WalkOperator, n: int) -> np.ndarray:
-    """U^n assembled from block eigenphases; cost is independent of n.
-
-    Eigenvalues are powered as exp(i*n*phase), so the result stays exactly
-    on the unit circle no matter how large n gets.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"power must be nonnegative, got {n}")
-    k = op.k
-    f = walk_fourier(k)
-    bd = block_diagonalize(op)
-    powered = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-    for l in range(k):
-        values = bd.eigenvalues[l]
-        vectors = bd.eigenvectors[l]
-        powered_values = np.exp(1j * n * np.angle(values))
-        powered[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = (
-            vectors @ np.diag(powered_values) @ np.linalg.inv(vectors)
-        )
-    return f.conj().T @ powered @ f
+    return block_eigenpairs(build_walk_operator(k, params))[0].reshape(-1)
 
 
 def phase_multiset_distance(a, b) -> float:

@@ -4,12 +4,20 @@ A walker on a k-cycle lives in the 2k-dimensional position (tensor) coin
 space.  Vectors are flattened position-major with the coin index fastest:
 basis state |i, s> sits at flat index 2*i + s.  Coin value s=0 ("up")
 steps from i to i-1 (mod k); s=1 ("down") steps to i+1 (mod k).
+
+The step operator is block circulant, so it is held as its k 2x2 Fourier
+symbols and powered block by block in closed form: evolving a state by any
+number of steps costs one FFT, k 2x2 products and one inverse FFT.  A
+single step can also be taken in position space in O(k).  The dense
+2k x 2k matrix is built only when asked for, as a test oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,9 +39,6 @@ TWO_PI = 2.0 * math.pi
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
-
-#: step count above which evolve() switches to eigenphase powering
-EIGENPOWER_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -110,31 +115,82 @@ def build_shift_cycle(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """One step of the cycle walk: the shift composed with a uniform coin."""
+    """One step of the cycle walk, held as its k Fourier symbols.
+
+    Under numpy's DFT over positions the step acts on each l separately,
+    (U psi)^_l = A_l psi^_l with A_l = diag(w^l, w^-l) C, w = exp(2*pi*i/k).
+    Every A_l = exp(i*phi) V_l with phi = (delta + pi)/2 and
+    V_l = [[x_l, y_l], [-conj(y_l), conj(x_l)]] in SU(2), whose powers are
+    V_l^n = cos(n*theta_l) I + sin(n*theta_l) (V_l - cos(theta_l) I) / sin(theta_l).
+    `coin` is C; `su2` holds (x, y, sin_theta, theta).  sin(theta_l) is read
+    off the traceless part, not the trace, so theta stays accurate near V_l = +-I.
+    """
 
     k: int
     params: CoinParams
-    matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.complex128)
-        if matrix.shape != (2 * self.k, 2 * self.k):
-            raise ValueError(
-                f"expected a {2 * self.k}x{2 * self.k} matrix, got {matrix.shape}"
-            )
-        deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(2 * self.k)))
+        if self.k < 2:
+            raise ValueError(f"cycle length must be at least 2, got {self.k}")
+        coin = build_coin(self.params)
+        # row 0 of V_l is w^l (C_00, C_01) exp(-i*phi); row 1 follows from the SU(2) form
+        w = np.exp(2j * math.pi / self.k * np.arange(self.k) - 0.5j * (self.params.delta + math.pi))
+        x, y = w * coin[0, 0], w * coin[0, 1]
+        sin_t = np.hypot(x.imag, np.abs(y))
+        deviation = np.abs(np.hypot(x.real, sin_t) - 1.0).max()
         if deviation > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (max deviation {deviation:.3e})")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+            raise ValueError(f"blocks are not unitary (max deviation {deviation:.3e})")
+        coin.setflags(write=False)
+        object.__setattr__(self, "coin", coin)
+        object.__setattr__(self, "su2", (x, y, sin_t, np.arctan2(sin_t, x.real)))
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        """The (k, 2, 2) array of A_l = diag(w^l, w^-l) C, in one vectorised pass."""
+        w = np.exp(2j * math.pi / self.k * np.arange(self.k))
+        symbols = np.stack([w, w.conj()], axis=1)[:, :, None] * self.coin
+        symbols.setflags(write=False)
+        return symbols
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense 2k x 2k step matrix: shift_cycle(k) . (I_k kron coin).  Oracle only."""
+        step = build_shift_cycle(self.k) @ np.kron(np.eye(self.k), self.coin)
+        step.setflags(write=False)
+        return step
+
+    def power(self, n: int) -> np.ndarray:
+        """Symbols of U^n, (k, 2, 2), in O(k) for any n and on the unit circle for large n."""
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"power must be nonnegative, got {n}")
+        x, y, sin_t, theta = self.su2
+        g = np.divide(np.sin(n * theta), sin_t, out=np.zeros(self.k), where=sin_t > 0)
+        diag = np.cos(n * theta) + 1j * (g * x.imag)
+        off = g * y
+        blocks = np.empty((self.k, 2, 2), dtype=np.complex128)
+        blocks[:, 0, 0] = diag
+        blocks[:, 0, 1] = off
+        blocks[:, 1, 0] = -off.conj()
+        blocks[:, 1, 1] = diag.conj()
+        # exp(i*n*phi) = i^n exp(i*n*delta/2), with i^n exact
+        blocks *= (1, 1j, -1, -1j)[n % 4] * cmath.exp(0.5j * self.params.delta * n)
+        return blocks
+
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        """Flat index each amplitude comes from in the shift: up from site i+1, down from i-1."""
+        i = np.arange(self.k)
+        return np.stack([2 * ((i + 1) % self.k), 2 * ((i - 1) % self.k) + 1], 1).reshape(-1)
+
+    def step(self, amplitudes) -> np.ndarray:
+        """Coin then shift in O(k); exact zeros stay exact, which an FFT round trip breaks."""
+        return (np.reshape(amplitudes, (self.k, 2)) @ self.coin.T).reshape(-1)[self._sources]
 
 
 def build_walk_operator(k: int, params: CoinParams) -> WalkOperator:
-    """Single-step operator: shift_cycle(k) . (I_k kron coin)."""
-    step = build_shift_cycle(k) @ np.kron(
-        np.eye(k, dtype=np.complex128), build_coin(params)
-    )
-    return WalkOperator(k=k, params=params, matrix=step)
+    """Single-step operator on the k-cycle for the given coin."""
+    return WalkOperator(k=k, params=params)
 
 
 @dataclass(frozen=True)
@@ -176,12 +232,7 @@ class WalkerState:
 
 
 def evolve(state: WalkerState, op: WalkOperator, steps: int) -> WalkerState:
-    """Apply `steps` walk steps.
-
-    Up to EIGENPOWER_THRESHOLD steps this is repeated multiplication; beyond
-    that the operator is powered through its block eigenphases, whose cost
-    does not grow with the step count.
-    """
+    """Apply `steps` walk steps in O(k log k): FFT, the powered symbols, inverse FFT."""
     if state.k != op.k:
         raise ValueError(
             f"state lives on a {state.k}-cycle but the operator acts on {op.k}"
@@ -189,15 +240,11 @@ def evolve(state: WalkerState, op: WalkOperator, steps: int) -> WalkerState:
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    if steps <= EIGENPOWER_THRESHOLD:
-        amps = np.array(state.amplitudes)
-        for _ in range(steps):
-            amps = op.matrix @ amps
-    else:
-        from . import spectral  # deferred; spectral imports this module
-
-        amps = spectral.eigenphase_power(op, steps) @ state.amplitudes
-    return WalkerState(state.k, amps)
+    if steps == 0:
+        return state
+    psi = np.fft.fft(np.reshape(state.amplitudes, (op.k, 2)), axis=0)
+    moved = (op.power(steps) @ psi[:, :, None])[:, :, 0]
+    return WalkerState(state.k, np.fft.ifft(moved, axis=0).reshape(-1))
 
 
 @dataclass(frozen=True)

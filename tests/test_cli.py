@@ -225,3 +225,39 @@ class TestSpecial:
         )
         assert code == 1
         assert "stationary" in err or "roots of unity" in err
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k", "3", "--rho", "2"],
+            ["verify", "--k", "3", "--rho", "2", "--delta-frac", "0/1", "--n", "8"],
+            ["simulate", "--k", "3", "--alpha", "4", "--beta", "0.1"],
+            ["simulate", "--k", "1"],
+            ["verify", "--k", "1", "--rho", "1/2", "--delta-frac", "0/1", "--n", "4"],
+            ["special", "--k", "1", "--rho", "0.3", "--delta-frac", "0/1", "--period", "5"],
+            ["solve", "--k", "1", "--case", "rho-edge", "--rho", "0", "--delta-frac", "1/3"],
+            ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "5/4", "--n", "8"],
+            ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "5/4", "--period", "5"],
+            ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "0/1", "--period", "0"],
+            ["simulate", "--k", "3", "--steps", "-1"],
+            ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-den", "0"],
+            ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-n", "0"],
+            ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--n", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cyclewalk: ") and err.count("\n") == 1
+
+    def test_zero_power_is_not_a_certificate(self, capsys):
+        # U^0 = I for every coin, so N=0 would pass any walk
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--n", "0"
+        )
+        assert code == 2 and '"pass"' not in out
+        assert "--n" in err
