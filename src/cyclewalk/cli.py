@@ -19,16 +19,7 @@ import numpy as np
 
 from .exprs import ExpressionError, parse_fraction, parse_value
 from .revival import CERTIFICATION_TOL, RevivalCertificate, power_deviation
-from .solver import (
-    TWO_FORM_DELTAS,
-    enumerate_seeded,
-    solve_approximate,
-    solve_k2,
-    solve_k3,
-    solve_k4,
-    solve_rho_edge,
-    solve_two_form,
-)
+from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
 from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_walk
@@ -36,6 +27,9 @@ from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_wal
 __all__ = ["certificate_from_json", "certificate_to_json", "main"]
 
 TWO_PI = 2.0 * math.pi
+
+#: the cycle a seed-search case runs on when --k is not given
+_CASE_DEFAULT_K = {"k2": 2, "k3": 3, "k4": 4, "two-form": None}
 
 
 class CliError(Exception):
@@ -91,13 +85,20 @@ def _require(ok: bool, message: str) -> None:
         raise CliError(2, message)
 
 
+def _delta_frac(args) -> Fraction | None:
+    """--delta-frac as a fraction in [0, 1), or None when it is not given."""
+    if args.delta_frac is None:
+        return None
+    dtp = parse_fraction(args.delta_frac)
+    _require(0 <= dtp < 1, f"--delta-frac must lie in [0, 1), got {dtp}")
+    return dtp
+
+
 def _coin_params(args) -> tuple[CoinParams, Fraction | None]:
     """The coin, and delta/(2*pi) when it came from --delta-frac."""
     rho = parse_value(args.rho) if args.rho is not None else 0.5
-    dtp, beta = None, 0.0
-    if args.delta_frac is not None:
-        dtp = parse_fraction(args.delta_frac)
-        _require(0 <= dtp < 1, f"--delta-frac must lie in [0, 1), got {dtp}")
+    dtp, beta = _delta_frac(args), 0.0
+    if dtp is not None:
         alpha = TWO_PI * float(dtp)
     else:
         alpha = parse_value(args.alpha) if args.alpha is not None else 0.0
@@ -234,7 +235,7 @@ def cmd_verify(args) -> int:
 
 def _solve_certificates(args) -> list[RevivalCertificate]:
     case = args.case
-    dtp = parse_fraction(args.delta_frac) if args.delta_frac is not None else None
+    dtp = _delta_frac(args)
     seed = parse_fraction(args.seed) if args.seed is not None else None
     if case == "rho-edge":
         if args.k is None or dtp is None or args.rho is None:
@@ -243,23 +244,13 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
         if edge not in (0.0, 1.0):
             raise CliError(2, "rho-edge requires --rho 0 or --rho 1")
         return [solve_rho_edge(args.k, dtp, int(edge))]
-    if case == "k2":
-        if seed is None or dtp is None:
-            raise CliError(2, "k2 needs --seed and --delta-frac")
-        return [solve_k2(seed, dtp)]
-    if case in ("k3", "k4"):
-        if dtp is None:
-            raise CliError(2, f"{case} needs --delta-frac")
+    if case in _CASE_DEFAULT_K:
+        k = args.k if args.k is not None else _CASE_DEFAULT_K[case]
+        if k is None or dtp is None:
+            raise CliError(2, f"{case} needs {'--k and ' if k is None else ''}--delta-frac")
         if seed is not None:
-            solver = solve_k3 if case == "k3" else solve_k4
-            return [solver(dtp, seed)]
-        k = 3 if case == "k3" else 4
-        family = enumerate_seeded(k, dtp, args.max_den, args.max_n)
-        return list(family.solutions)
-    if case == "two-form":
-        if args.k not in TWO_FORM_DELTAS or dtp is None:
-            raise CliError(2, "two-form needs --k in {5, 8, 10} and --delta-frac")
-        return solve_two_form(args.k, dtp, args.max_den)
+            return [solve_seeded(k, dtp, seed)]
+        return list(enumerate_seeded(k, dtp, args.max_den, args.max_n).solutions)
     if case == "approx":
         if args.k is None or args.rho is None or args.epsilon is None:
             raise CliError(2, "approx needs --k, --rho and --epsilon")
@@ -374,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     sol = sub.add_parser("solve", help="emit verified solution records as JSON lines")
-    sol.add_argument("--k", type=int)
+    sol.add_argument("--k", type=int, help="cycle length (k2, k3, k4 default to 2, 3, 4)")
     sol.add_argument(
         "--case",
         required=True,

@@ -10,7 +10,6 @@ block column of U^N, O(k log k) for any N.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +30,6 @@ __all__ = [
     "power_deviation",
     "reconstruct_fraction",
     "revival_period",
-    "rho_for",
-    "undefined_rho_eigenvalues",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -41,40 +38,6 @@ CERTIFICATION_TOL = 1e-9
 PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
-
-
-def rho_for(k: int, l: int, mn: Fraction | float, delta: float) -> float | None:
-    """Coin weight that places eigenphase 2*pi*(mn) on block l.
-
-    Returns None when block l's weight formula is undefined at this delta
-    (zero denominator within UNDEFINED_DENOMINATOR_TOL); such blocks have
-    parameter-independent eigenvalues, see `undefined_rho_eigenvalues`.
-    The result may fall outside [0, 1] -- callers filter.
-    """
-    if not 0 <= l < k:
-        raise ValueError(f"block index {l} out of range for k={k}")
-    den = 1.0 - math.cos(4.0 * math.pi * l / k + delta)
-    if abs(den) < UNDEFINED_DENOMINATOR_TOL:
-        return None
-    return (1.0 - math.cos(4.0 * math.pi * float(mn) - delta)) / den
-
-
-def undefined_rho_eigenvalues(k: int, l: int, delta: float) -> tuple[complex, complex]:
-    """Constant eigenvalue pair of a block whose weight formula is undefined.
-
-    Valid only when 1 - cos(4*pi*l/k + delta) vanishes; the pair is then
-    {exp(-2*pi*i*l/k), -exp(-2*pi*i*l/k)} independent of the coin weight.
-    """
-    if not 0 <= l < k:
-        raise ValueError(f"block index {l} out of range for k={k}")
-    den = 1.0 - math.cos(4.0 * math.pi * l / k + delta)
-    if abs(den) >= UNDEFINED_DENOMINATOR_TOL:
-        raise ValueError(
-            f"block {l} has a well-defined weight at delta={delta!r} "
-            f"(denominator {den!r})"
-        )
-    base = cmath.exp(-2j * math.pi * l / k)
-    return (base, -base)
 
 
 def lcm_denominators(fractions: Iterable[Fraction], extra: Iterable[int] = ()) -> int:

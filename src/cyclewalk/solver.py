@@ -1,15 +1,25 @@
-"""Exact and approximate revival searches organized by cycle length.
+"""Exact and approximate revival searches, dispatched on the weight forms.
 
-Every family follows the same recipe: choose the total coin phase delta so
-the number of independent block-weight forms collapses, seed the remaining
-form(s) with reduced fractions, complete the set of fractions sharing the
-resulting weight (exact integer arithmetic), and take the LCM of all
-denominators as the candidate period.  Each emitted certificate is verified
-by powering the operator.
+For a rational coin phase d = delta/(2*pi), block l of a k-cycle walk has
+the weight-form point x_l = 2*l/k + d.  Blocks l and l' share a form iff
+x_l = +-x_l' (mod 1), and block l is degenerate (its eigenvalues do not
+depend on the coin weight) iff x_l is an integer; `weight_forms` groups the
+blocks exactly, in `Fraction`s.  A seed fraction s puts the eigenphase
+2*pi*s on every block of the form x at the weight
+
+    rho = (1 - cos 2*pi*(2*s - d)) / (1 - cos 2*pi*x),
+
+and every seed of its companion class (`companion_fractions`) gives the same
+weight.  A full revival needs one class per form, all at one rho in (0, 1):
+`enumerate_seeded` scans the classes of the seeds up to a denominator bound,
+keeps every class for one form and joins the two weight lists for two, adds
+the degenerate blocks' constant fractions, takes N as the LCM of all
+denominators and certifies each candidate by powering the operator.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,39 +39,30 @@ from .walk import CoinParams
 __all__ = [
     "APPROX_DENOMINATOR_CAP",
     "APPROX_PERIOD_CAP",
-    "K3_DELTAS",
-    "K4_DELTAS",
-    "TWO_FORM_DELTAS",
     "SolutionFamily",
     "companion_fractions",
     "constant_block_fractions",
     "enumerate_seeded",
-    "k2_seed_window",
     "reduced_fractions",
     "solve_approximate",
-    "solve_k2",
-    "solve_k3",
-    "solve_k4",
     "solve_rho_edge",
-    "solve_two_form",
-    "undefined_blocks",
+    "solve_seeded",
+    "weight",
+    "weight_forms",
 ]
 
 TWO_PI = 2.0 * math.pi
 HALF = Fraction(1, 2)
 
-K3_DELTAS = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-K4_DELTAS = (Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
-TWO_FORM_DELTAS = {
-    5: tuple(Fraction(t, 5) for t in range(5)),
-    10: tuple(Fraction(t, 5) for t in range(5)),
-    8: tuple(Fraction(t, 4) for t in range(4)),
-}
-
 APPROX_DENOMINATOR_CAP = 10**6
 APPROX_PERIOD_CAP = 10**6
 
-_CASE_TAGS = {2: "k2_seeded", 3: "k3_family", 4: "k4_family"}
+#: half-width of the window in which the two forms' weights count as equal
+TWO_FORM_MATCH_TOL = 1e-10
+
+_SINGLE_FORM_TAGS = {2: "k2_seeded", 3: "k3_family", 4: "k4_family", 6: "k3_family"}
+# U_k^N = I implies U_2k^N = I for odd k, and the k=10 blocks hold the k=5 ones
+_ALSO_VERIFIED = {3: (6,), 5: (10,), 10: (5,)}
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,49 @@ def _mod1(x: Fraction) -> Fraction:
     return x % 1
 
 
+def _canonical(x: Fraction) -> Fraction:
+    """The point of [0, 1/2] with the same cos(2*pi*x)."""
+    x = x % 1
+    return min(x, 1 - x)
+
+
+def weight_forms(
+    k: int, delta_two_pi: Fraction
+) -> tuple[dict[Fraction, tuple[int, ...]], tuple[int, ...]]:
+    """The weight forms of a k-cycle at delta = 2*pi*delta_two_pi, exactly.
+
+    Returns ({x: blocks}, degenerate): each form keyed by its canonical
+    point x in (0, 1/2], ascending, with the blocks l whose 2*l/k + d is
+    +-x (mod 1), and the degenerate blocks, where 2*l/k + d is an integer.
+    """
+    if k < 2:
+        raise ValueError(f"cycle length must be at least 2, got {k}")
+    u, v = Fraction(delta_two_pi).as_integer_ratio()
+    # in units of 1/(k*v): x_l = (2*l*v + u*k) / (k*v)
+    turn = k * v
+    forms: dict[int, list[int]] = {}
+    degenerate = []
+    for l in range(k):
+        x = (2 * l * v + u * k) % turn
+        x = min(x, turn - x)
+        if x == 0:
+            degenerate.append(l)
+        else:
+            forms.setdefault(x, []).append(l)
+    return {Fraction(x, turn): tuple(forms[x]) for x in sorted(forms)}, tuple(degenerate)
+
+
+def weight(seed: Fraction, delta_two_pi: Fraction, x: Fraction) -> float:
+    """Coin weight rho = (1 - cos 2*pi*(2*seed - d)) / (1 - cos 2*pi*x).
+
+    At this weight every block of the form x (see `weight_forms`) has the
+    eigenvalue +-exp(2*pi*i*seed).  The result may fall outside [0, 1];
+    it lies in (0, 1) iff 0 < min(y, 1 - y) < x for y = (2*seed - d) mod 1.
+    """
+    numerator = 1.0 - math.cos(TWO_PI * float(2 * Fraction(seed) - Fraction(delta_two_pi)))
+    return numerator / (1.0 - math.cos(TWO_PI * float(x)))
+
+
 def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fraction]:
     """All x in [0, 1) with cos(4*pi*x - delta) == cos(4*pi*seed - delta), exactly."""
     seed = Fraction(seed)
@@ -95,14 +139,6 @@ def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fra
             delta_two_pi - seed,
             delta_two_pi - seed + HALF,
         )
-    )
-
-
-def undefined_blocks(k: int, delta_two_pi: Fraction) -> tuple[int, ...]:
-    """Blocks whose weight formula degenerates: 2*l/k + delta/(2*pi) is an integer."""
-    delta_two_pi = Fraction(delta_two_pi)
-    return tuple(
-        l for l in range(k) if (Fraction(2 * l, k) + delta_two_pi).denominator == 1
     )
 
 
@@ -129,10 +165,7 @@ def _verified(
     generators,
     n: int,
     case_tag: str,
-    *,
-    rho_display: str | None = None,
     also_k: tuple[int, ...] = (),
-    exact: bool = True,
 ) -> RevivalCertificate:
     delta = TWO_PI * float(delta_two_pi)
     params = CoinParams.from_delta(rho, delta)
@@ -148,8 +181,6 @@ def _verified(
         max_deviation=deviation,
         case_tag=case_tag,
         delta_two_pi=delta_two_pi,
-        rho_display=rho_display,
-        exact=exact,
     )
 
 
@@ -180,98 +211,54 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
     return _verified(k, float(edge), uv, generators, n, tag)
 
 
-def _single_form_denominator(k: int, delta_two_pi: Fraction) -> float:
-    """Common weight-formula denominator of all non-degenerate blocks.
-
-    Raises when the choice of delta leaves more than one independent form,
-    in which case the seeded single-form recipe does not apply.
-    """
-    delta = TWO_PI * float(delta_two_pi)
-    values = []
-    for l in range(k):
-        den = 1.0 - math.cos(4.0 * math.pi * l / k + delta)
-        if abs(den) < UNDEFINED_DENOMINATOR_TOL:
-            continue
-        values.append(den)
-    if not values:
-        raise ValueError(f"every block is degenerate for delta={delta_two_pi}*2*pi")
-    if max(values) - min(values) > 1e-9:
+def _search_plan(k: int, dtp: Fraction):
+    """(form points, degenerate-block fractions, case tag) of a seed search."""
+    forms, degenerate = weight_forms(k, dtp)
+    if not 1 <= len(forms) <= 2:
         raise ValueError(
-            f"delta={delta_two_pi}*2*pi leaves more than one weight form for k={k}"
+            f"k={k} at delta={dtp}*2*pi has {len(forms)} weight forms; "
+            "seed searches need one or two"
         )
-    return float(np.mean(values))
+    constants: set[Fraction] = set()
+    for l in degenerate:
+        constants |= constant_block_fractions(k, l)
+    tag = _SINGLE_FORM_TAGS[k] if len(forms) == 1 else "two_form"
+    return tuple(forms), constants, tag
 
 
-def _seeded_parts(k: int, seed: Fraction, delta_two_pi: Fraction):
-    """(rho, generators, N) for a single-form seed; raises if rho is not in (0, 1)."""
-    seed = Fraction(seed)
+def _certify(k, dtp, rho, seeds, constants, tag, max_n=None):
+    """Complete the seeds' companion classes and certify; None above max_n."""
+    generators = set(constants)
+    for seed in seeds:
+        generators |= companion_fractions(seed, dtp)
+    n = lcm_denominators(generators)
+    if max_n is not None and n > max_n:
+        return None
+    return _verified(k, rho, dtp, generators, n, tag, _ALSO_VERIFIED.get(k, ()))
+
+
+def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
+    """The revival seeded by one fraction, for a (k, delta) with one weight form.
+
+    The seed's companion class and the degenerate blocks' constant
+    fractions are the generators; N is the LCM of their denominators.
+    Raises when the form count is not one or the weight is not in (0, 1).
+    """
+    seed, dtp = Fraction(seed), Fraction(delta_two_pi)
     if not 0 < seed < 1:
         raise ValueError(f"seed must lie strictly in (0, 1), got {seed}")
-    form_den = _single_form_denominator(k, delta_two_pi)
-    delta = TWO_PI * float(delta_two_pi)
-    rho = (1.0 - math.cos(4.0 * math.pi * float(seed) - delta)) / form_den
-    if not 1e-12 < rho < 1.0 - 1e-12:
+    xs, constants, tag = _search_plan(k, dtp)
+    if len(xs) != 1:
         raise ValueError(
-            f"seed {seed} with delta={delta_two_pi}*2*pi gives rho={rho!r}, "
+            f"k={k} at delta={dtp}*2*pi has two weight forms; one seed cannot fill both"
+        )
+    rho = weight(seed, dtp, xs[0])
+    if not 0 < _canonical(2 * seed - dtp) < xs[0]:
+        raise ValueError(
+            f"seed {seed} with delta={dtp}*2*pi gives rho={rho!r}, "
             "outside the open interval (0, 1)"
         )
-    generators = set(companion_fractions(seed, delta_two_pi))
-    for l in undefined_blocks(k, delta_two_pi):
-        generators |= constant_block_fractions(k, l)
-    return rho, generators, lcm_denominators(generators)
-
-
-def k2_seed_window(seed: Fraction) -> tuple[Fraction, Fraction]:
-    """Open interval of admissible delta/(2*pi) values for a k=2 seed fraction."""
-    seed = Fraction(seed)
-    if not 0 < seed < 1:
-        raise ValueError(f"seed must lie strictly in (0, 1), got {seed}")
-    lo = Fraction(2 * seed.numerator % seed.denominator, 2 * seed.denominator)
-    return lo, lo + HALF
-
-
-def solve_k2(seed: Fraction, uv: Fraction) -> RevivalCertificate:
-    """Seeded k=2 family: fix delta = 2*pi*u/v inside the seed's admissible
-    window and complete the fraction set holding the weight constant.
-
-    With delta given as an exact fraction the companion set is computed in
-    integer arithmetic, so the generators are rational by construction.
-    """
-    seed = Fraction(seed)
-    uv = Fraction(uv)
-    lo, hi = k2_seed_window(seed)
-    if not lo < uv < hi:
-        raise ValueError(
-            f"delta fraction {uv} lies outside the admissible window ({lo}, {hi})"
-        )
-    rho, generators, n = _seeded_parts(2, seed, uv)
-    return _verified(2, rho, uv, generators, n, "k2_seeded")
-
-
-def solve_k3(delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
-    """Seeded k=3 family; the certificate is verified for both k=3 and k=6.
-
-    delta/(2*pi) must be one of {0, 1/3, 2/3}: each choice degenerates one
-    block and equates the remaining two weight forms.
-    """
-    dtp = Fraction(delta_two_pi)
-    if dtp not in K3_DELTAS:
-        raise ValueError(f"delta/(2*pi) must be one of {K3_DELTAS}, got {dtp}")
-    rho, generators, n = _seeded_parts(3, seed, dtp)
-    return _verified(3, rho, dtp, generators, n, "k3_family", also_k=(6,))
-
-
-def solve_k4(delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
-    """Seeded k=4 family.
-
-    delta/(2*pi) in {0, 1/2} degenerates two blocks and equates the other
-    two forms; {1/4, 3/4} equate all four at once.
-    """
-    dtp = Fraction(delta_two_pi)
-    if dtp not in K4_DELTAS:
-        raise ValueError(f"delta/(2*pi) must be one of {K4_DELTAS}, got {dtp}")
-    rho, generators, n = _seeded_parts(4, seed, dtp)
-    return _verified(4, rho, dtp, generators, n, "k4_family")
+    return _certify(k, dtp, rho, (seed,), constants, tag)
 
 
 def enumerate_seeded(
@@ -280,137 +267,42 @@ def enumerate_seeded(
     max_den: int,
     max_n: int | None = None,
 ) -> SolutionFamily:
-    """Scan all seeds with denominator <= max_den: one certificate per
-    companion class, canonically sorted by (N, rho).
+    """Every revival seeded by fractions with denominator <= max_den,
+    canonically sorted by (N, rho), for any (k, delta) with one or two
+    weight forms.
 
-    Works for the single-form cycles k in {2, 3, 4, 6}; k=3 certificates
-    are verified for k=6 as well.
+    One form: each companion class with a weight in (0, 1) is a solution.
+    Two forms: a class of each whose weights agree to TWO_FORM_MATCH_TOL.
+    Candidates with N above max_n are dropped.  An empty family means no
+    solution exists at this denominator bound.
     """
-    if k not in (2, 3, 4, 6):
-        raise ValueError(f"single-form enumeration applies to k in (2, 3, 4, 6), got {k}")
     dtp = Fraction(delta_two_pi)
-    if k == 3 and dtp not in K3_DELTAS:
-        raise ValueError(f"delta/(2*pi) must be one of {K3_DELTAS}, got {dtp}")
-    if k == 4 and dtp not in K4_DELTAS:
-        raise ValueError(f"delta/(2*pi) must be one of {K4_DELTAS}, got {dtp}")
-    tag = _CASE_TAGS.get(k, "k3_family" if k == 6 else "")
-    also = (6,) if k == 3 else ()
-    seen: set[frozenset[Fraction]] = set()
-    certificates = []
+    xs, constants, tag = _search_plan(k, dtp)
+    classes: dict[Fraction, Fraction] = {}
     for seed in reduced_fractions(max_den):
-        cls = companion_fractions(seed, dtp)
-        if cls in seen:
-            continue
-        seen.add(cls)
-        try:
-            rho, generators, n = _seeded_parts(k, seed, dtp)
-        except ValueError:
-            continue  # weight at the edge or outside (0, 1)
-        if max_n is not None and n > max_n:
-            continue
-        certificates.append(_verified(k, rho, dtp, generators, n, tag, also_k=also))
+        classes.setdefault(_canonical(2 * seed - dtp), seed)
+    sides = [
+        sorted((weight(seed, dtp, x), seed) for y, seed in classes.items() if 0 < y < x)
+        for x in xs
+    ]
+    if len(sides) == 1:
+        matches = [(rho, (seed,)) for rho, seed in sides[0]]
+    else:
+        first, second = sides
+        second_rhos = [rho for rho, _ in second]
+        matches = []
+        for rho, seed in first:
+            i = bisect.bisect_left(second_rhos, rho - TWO_FORM_MATCH_TOL)
+            while i < len(second) and second[i][0] <= rho + TWO_FORM_MATCH_TOL:
+                matches.append((rho, (seed, second[i][1])))
+                i += 1
+    certificates = [
+        cert
+        for rho, seeds in matches
+        if (cert := _certify(k, dtp, rho, seeds, constants, tag, max_n)) is not None
+    ]
     certificates.sort(key=lambda c: (c.N, c.rho))
     return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
-
-
-def _two_form_denominators(k: int, delta: float) -> tuple[float, float]:
-    """The two distinct weight-form denominators of k in {5, 8, 10}."""
-    clusters: dict[float, list[int]] = {}
-    for l in range(k):
-        den = 1.0 - math.cos(4.0 * math.pi * l / k + delta)
-        if abs(den) < UNDEFINED_DENOMINATOR_TOL:
-            continue
-        for key in clusters:
-            if abs(key - den) < 1e-9:
-                clusters[key].append(l)
-                break
-        else:
-            clusters[den] = [l]
-    if len(clusters) != 2:
-        raise ValueError(
-            f"expected exactly two weight forms, found {len(clusters)} for k={k}"
-        )
-    first, second = sorted(clusters)
-    return first, second
-
-
-def solve_two_form(
-    k: int, delta_two_pi: Fraction, max_den: int = 24
-) -> list[RevivalCertificate]:
-    """Search seed pairs equating the two independent weight forms of k in {5, 8, 10}.
-
-    Exhaustive over reduced fractions with denominators <= max_den on both
-    sides; every match is completed to its full companion classes and
-    verified (k=5 solutions are verified for k=10 too, and vice versa).
-    An empty result means no pair exists at this denominator bound.
-    """
-    if k not in TWO_FORM_DELTAS:
-        raise ValueError(f"two-form search applies to k in (5, 8, 10), got {k}")
-    dtp = Fraction(delta_two_pi)
-    if dtp not in TWO_FORM_DELTAS[k]:
-        raise ValueError(
-            f"delta/(2*pi) must be one of {TWO_FORM_DELTAS[k]} for k={k}, got {dtp}"
-        )
-    delta = TWO_PI * float(dtp)
-    den_a, den_b = _two_form_denominators(k, delta)
-
-    def weights(form_den: float) -> list[tuple[float, Fraction]]:
-        out = []
-        for x in reduced_fractions(max_den):
-            rho = (1.0 - math.cos(4.0 * math.pi * float(x) - delta)) / form_den
-            if 1e-12 < rho < 1.0 - 1e-12:
-                out.append((rho, x))
-        out.sort(key=lambda item: item[0])
-        return out
-
-    side_a = weights(den_a)
-    side_b = weights(den_b)
-    b_values = [rho for rho, _ in side_b]
-
-    matches: list[tuple[float, Fraction, Fraction]] = []
-    for rho_a, x_a in side_a:
-        i = int(np.searchsorted(b_values, rho_a - 1e-10))
-        while i < len(side_b) and side_b[i][0] <= rho_a + 1e-10:
-            matches.append((rho_a, x_a, side_b[i][1]))
-            i += 1
-    matches.sort(key=lambda item: item[0])
-
-    also = {5: (10,), 10: (5,), 8: ()}[k]
-    constants: set[Fraction] = set()
-    for l in undefined_blocks(k, dtp):
-        constants |= constant_block_fractions(k, l)
-
-    certificates = []
-    i = 0
-    while i < len(matches):
-        j = i
-        while j + 1 < len(matches) and matches[j + 1][0] - matches[j][0] < 1e-9:
-            j += 1
-        cluster = matches[i : j + 1]
-        i = j + 1
-        rho = float(np.mean([m[0] for m in cluster]))
-        generators = set(constants)
-        for _, x_a, x_b in cluster:
-            generators |= companion_fractions(x_a, dtp)
-            generators |= companion_fractions(x_b, dtp)
-        n = lcm_denominators(generators)
-        certificates.append(
-            _verified(k, rho, dtp, generators, n, "two_form", also_k=also)
-        )
-    certificates.sort(key=lambda c: (c.N, c.rho))
-    return certificates
-
-
-def _form_denominators(k: int, delta: float) -> list[float]:
-    """Distinct weight-form denominators over the non-degenerate blocks."""
-    clusters: list[float] = []
-    for l in range(k):
-        den = 1.0 - math.cos(4.0 * math.pi * l / k + delta)
-        if abs(den) < UNDEFINED_DENOMINATOR_TOL:
-            continue
-        if not any(abs(c - den) < 1e-9 for c in clusters):
-            clusters.append(den)
-    return sorted(clusters)
 
 
 def _band_intervals(
@@ -489,9 +381,11 @@ def solve_approximate(
 
     fractions: set[Fraction] = set()
     if dtp is not None:
-        for l in undefined_blocks(k, dtp):
+        forms, degenerate = weight_forms(k, dtp)
+        for l in degenerate:
             fractions |= constant_block_fractions(k, l)
-        for form_den in _form_denominators(k, delta_value):
+        for x in forms:
+            form_den = 1.0 - math.cos(TWO_PI * float(x))
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
             if intervals is None:
                 return None

@@ -94,13 +94,13 @@ TABLE2_ROWS: tuple[TableRow, ...] = tuple(
     ),
 )
 
-_K3_DELTAS_ALL = (_fr(0), _fr(1, 3), _fr(2, 3))
-_K3_DELTAS_NONZERO = (_fr(1, 3), _fr(2, 3))
+_THIRDS = (_fr(0), _fr(1, 3), _fr(2, 3))
+_NONZERO_THIRDS = (_fr(1, 3), _fr(2, 3))
 
 TABLE3_ROWS: tuple[TableRow, ...] = (
     TableRow((3, 6), 8, 2.0 / 3.0, "2/3", (_fr(0),)),
     TableRow((3, 6), 10, (5.0 - _SQRT5) / 6.0, "(5-sqrt5)/6", (_fr(0),)),
-    TableRow((3, 6), 12, 1.0 / 3.0, "1/3", _K3_DELTAS_ALL),
+    TableRow((3, 6), 12, 1.0 / 3.0, "1/3", _THIRDS),
     TableRow(
         (3, 6),
         14,
@@ -121,14 +121,14 @@ TABLE3_ROWS: tuple[TableRow, ...] = (
         18,
         2.0 / 3.0 * (1.0 - math.cos(TWO_PI / 9.0)),
         "(2/3)*(1-cos(2*pi*1/9))",
-        _K3_DELTAS_ALL,
+        _THIRDS,
     ),
     TableRow(
         (3, 6),
         18,
         2.0 / 3.0 * (1.0 - math.cos(TWO_PI * 2.0 / 9.0)),
         "(2/3)*(1-cos(2*pi*2/9))",
-        _K3_DELTAS_ALL,
+        _THIRDS,
     ),
     TableRow((3, 6), 20, (3.0 - _SQRT5) / 6.0, "(3-sqrt5)/6", (_fr(0),)),
     TableRow((3, 6), 20, (3.0 + _SQRT5) / 6.0, "(3+sqrt5)/6", (_fr(0),)),
@@ -153,8 +153,8 @@ TABLE3_ROWS: tuple[TableRow, ...] = (
         "(2/3)*(1-cos(2*pi*3/11))",
         (_fr(0),),
     ),
-    TableRow((3, 6), 24, (2.0 - _SQRT3) / 3.0, "(2-sqrt3)/3", _K3_DELTAS_ALL),
-    TableRow((3, 6), 24, 2.0 / 3.0, "2/3", _K3_DELTAS_NONZERO),
+    TableRow((3, 6), 24, (2.0 - _SQRT3) / 3.0, "(2-sqrt3)/3", _THIRDS),
+    TableRow((3, 6), 24, 2.0 / 3.0, "2/3", _NONZERO_THIRDS),
     TableRow(
         (3, 6),
         26,
@@ -202,23 +202,23 @@ TABLE3_ROWS: tuple[TableRow, ...] = (
         30,
         (7.0 - _SQRT5 - math.sqrt(6.0 * (5.0 - _SQRT5))) / 12.0,
         "(7-sqrt5-sqrt(6*(5-sqrt5)))/12",
-        _K3_DELTAS_ALL,
+        _THIRDS,
     ),
     TableRow(
         (3, 6),
         30,
         (7.0 + _SQRT5 - math.sqrt(6.0 * (5.0 + _SQRT5))) / 12.0,
         "(7+sqrt5-sqrt(6*(5+sqrt5)))/12",
-        _K3_DELTAS_ALL,
+        _THIRDS,
     ),
     TableRow(
         (3, 6),
         30,
         (7.0 - _SQRT5 + math.sqrt(6.0 * (5.0 - _SQRT5))) / 12.0,
         "(7-sqrt5+sqrt(6*(5-sqrt5)))/12",
-        _K3_DELTAS_ALL,
+        _THIRDS,
     ),
-    TableRow((3, 6), 30, (5.0 - _SQRT5) / 6.0, "(5-sqrt5)/6", _K3_DELTAS_NONZERO),
+    TableRow((3, 6), 30, (5.0 - _SQRT5) / 6.0, "(5-sqrt5)/6", _NONZERO_THIRDS),
 )
 
 _K4_ZERO_PI = (_fr(0), _fr(1, 2))

@@ -25,11 +25,11 @@ from cyclewalk import (
     phase_multiset_distance,
     power_deviation,
     revival_period,
-    rho_for,
-    solve_k2,
     solve_rho_edge,
-    solve_two_form,
+    solve_seeded,
     verify_table,
+    weight,
+    weight_forms,
 )
 from cyclewalk.tables import TABLE6_COLUMNS
 from cyclewalk.walk import HADAMARD
@@ -120,7 +120,7 @@ def test_criterion_04_two_form_table():
 
 
 def test_criterion_05_seeded_k2_worked_example():
-    cert = solve_k2(Fraction(2, 5), Fraction(2, 3))
+    cert = solve_seeded(2, Fraction(2, 3), Fraction(2, 5))
     expected_rho = 2.0 / 3.0 * (1.0 - math.sin(7.0 * math.pi / 30.0))
     ok = (
         cert.N == 30
@@ -164,8 +164,12 @@ def test_criterion_07_weight_formula_defining_property():
         v = int(rng.integers(1, 13))
         u = int(rng.integers(0, v))
         delta = TWO_PI * u / v
-        rho = rho_for(k, l, Fraction(m, n), delta)
-        if rho is None or not 1e-6 < rho < 1.0 - 1e-6:
+        forms, degenerate = weight_forms(k, Fraction(u, v))
+        if l in degenerate:
+            continue
+        (x,) = (x for x, blocks in forms.items() if l in blocks)
+        rho = weight(Fraction(m, n), Fraction(u, v), x)
+        if not 1e-6 < rho < 1.0 - 1e-6:
             continue
         target = cmath.exp(2j * math.pi * m / n)
         pair = eigenvalues_closed_form(k, l, CoinParams.from_delta(rho, delta))
@@ -226,7 +230,7 @@ def test_criterion_10_doubling_property():
     for dtp in (Fraction(0), Fraction(1, 3), Fraction(2, 3)):
         certificates.extend(enumerate_seeded(3, dtp, max_den=16, max_n=30).solutions)
     for dtp in (Fraction(t, 5) for t in range(5)):
-        certificates.extend(solve_two_form(5, dtp, max_den=60))
+        certificates.extend(enumerate_seeded(5, dtp, max_den=60).solutions)
     certificates.append(solve_rho_edge(3, Fraction(1, 3), 0))
     certificates.append(solve_rho_edge(3, Fraction(1, 3), 1))
     certificates.append(solve_rho_edge(5, Fraction(2, 5), 0))

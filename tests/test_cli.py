@@ -165,6 +165,43 @@ class TestSolve:
         assert rhos[0] == pytest.approx((5.0 - math.sqrt(5.0)) / 10.0)
         assert rhos[1] == pytest.approx((5.0 + math.sqrt(5.0)) / 10.0)
 
+    def test_two_form_respects_max_n(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--k", "5", "--case", "two-form", "--delta-frac", "0/1",
+            "--max-den", "20", "--max-n", "10",
+        )
+        assert code == 0 and out == ""
+
+    def test_k_selects_the_cycle(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--k", "6", "--case", "k3", "--delta-frac", "0/1", "--max-den", "16",
+        )
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and records
+        assert {(r["k"], r["case_tag"]) for r in records} == {(6, "k3_family")}
+        # k=5 has two weight forms, so the search runs as the two-form case
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--k", "5", "--case", "k3", "--delta-frac", "0/1", "--max-den", "20",
+        )
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and [r["N"] for r in records] == [60, 60]
+        assert {(r["k"], r["case_tag"]) for r in records} == {(5, "two_form")}
+
+    @pytest.mark.parametrize(
+        "k, dtp",
+        [("3", "1/6"), ("3", "1/2"), ("3", "5/6"), ("6", "1/6"), ("6", "1/2"),
+         ("6", "5/6"), ("4", "1/3"), ("4", "1/8"), ("8", "1/8"), ("8", "3/8")],
+    )
+    def test_bounded_negative_prints_nothing(self, capsys, k, dtp):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--k", k, "--case", "two-form", "--delta-frac", dtp, "--max-den", "30",
+        )
+        assert (code, out, err) == (0, "", "")
+
     def test_rho_edge(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -245,6 +282,12 @@ class TestInputContract:
             ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-den", "0"],
             ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-n", "0"],
             ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--n", "0"],
+            ["solve", "--k", "3", "--case", "k3", "--delta-frac", "4/3"],
+            ["solve", "--k", "2", "--case", "k2", "--seed", "2/5", "--delta-frac", "5/3"],
+            ["solve", "--k", "5", "--case", "two-form", "--delta-frac", "6/5"],
+            ["solve", "--k", "5", "--case", "rho-edge", "--rho", "0", "--delta-frac", "5/4"],
+            ["solve", "--k", "7", "--case", "approx", "--rho", "0.5", "--delta-frac", "7/4",
+             "--epsilon", "0.01"],
         ],
         ids=lambda argv: " ".join(argv),
     )

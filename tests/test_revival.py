@@ -10,16 +10,17 @@ import pytest
 from cyclewalk import (
     CoinParams,
     RevivalCertificate,
+    constant_block_fractions,
     eigenvalues_closed_form,
+    enumerate_seeded,
     lcm_denominators,
     power_deviation,
     reconstruct_fraction,
     revival_period,
-    rho_for,
-    solve_k3,
     solve_rho_edge,
-    solve_two_form,
-    undefined_rho_eigenvalues,
+    solve_seeded,
+    weight,
+    weight_forms,
 )
 
 RNG = np.random.default_rng(8675309)
@@ -27,54 +28,71 @@ RNG = np.random.default_rng(8675309)
 TWO_PI = 2.0 * math.pi
 
 
+def rho_for(k, l, seed, dtp):
+    """Weight that puts eigenphase 2*pi*seed on block l; None on a degenerate block."""
+    forms, degenerate = weight_forms(k, dtp)
+    if l in degenerate:
+        return None
+    (x,) = (x for x, blocks in forms.items() if l in blocks)
+    return weight(seed, dtp, x)
+
+
 class TestRhoFor:
     def test_k3_table_entry(self):
-        assert rho_for(3, 1, Fraction(1, 8), 0.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert rho_for(3, 1, Fraction(1, 8), Fraction(0)) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_k2_worked_example(self):
         # exact value is (2/3)*(1 - sin(7*pi/30)) ~= 0.2205796
-        got = rho_for(2, 0, Fraction(2, 5), 2.0 * TWO_PI / 3.0)
+        got = rho_for(2, 0, Fraction(2, 5), Fraction(2, 3))
         assert got == pytest.approx(2.0 / 3.0 * (1.0 - math.sin(7.0 * math.pi / 30.0)), abs=1e-14)
 
     def test_half_gives_zero(self):
         for k, l in ((3, 1), (5, 2), (8, 3)):
-            assert rho_for(k, l, Fraction(1, 2), 0.0) == pytest.approx(0.0, abs=1e-14)
+            assert rho_for(k, l, Fraction(1, 2), Fraction(0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_undefined_returns_none(self):
-        assert rho_for(3, 0, Fraction(1, 8), 0.0) is None
-        assert rho_for(4, 1, Fraction(1, 8), math.pi) is None
+        assert rho_for(3, 0, Fraction(1, 8), Fraction(0)) is None
+        assert rho_for(4, 1, Fraction(1, 8), Fraction(1, 2)) is None
 
     def test_rejects_bad_block(self):
+        # the forms and the degenerate blocks partition exactly range(k)
+        forms, degenerate = weight_forms(3, Fraction(0))
+        assert sorted(degenerate + sum(forms.values(), ())) == [0, 1, 2]
         with pytest.raises(ValueError):
-            rho_for(3, 3, Fraction(1, 8), 0.0)
+            weight_forms(1, Fraction(0))
 
 
 class TestUndefinedRhoEigenvalues:
+    """A degenerate block's eigenphases are {-l/k, -l/k + 1/2} at every weight."""
+
+    @staticmethod
+    def phases(k, l, dtp, rho=0.5):
+        pair = eigenvalues_closed_form(k, l, CoinParams.from_delta(rho, TWO_PI * float(dtp)))
+        return sorted(round((cmath.phase(z) / TWO_PI) % 1.0, 12) % 1.0 for z in pair)
+
     def test_k4_l1_delta_pi(self):
-        pair = undefined_rho_eigenvalues(4, 1, math.pi)
-        assert {complex(round(z.real, 12) + 1j * round(z.imag, 12)) for z in pair} == {
-            1j,
-            -1j,
-        }
+        assert 1 in weight_forms(4, Fraction(1, 2))[1]
+        assert constant_block_fractions(4, 1) == {Fraction(1, 4), Fraction(3, 4)}
+        assert self.phases(4, 1, Fraction(1, 2)) == [0.25, 0.75]
 
     def test_k3_l0_delta0(self):
-        pair = undefined_rho_eigenvalues(3, 0, 0.0)
-        assert sorted(z.real for z in pair) == [-1.0, 1.0]
+        assert 0 in weight_forms(3, Fraction(0))[1]
+        assert constant_block_fractions(3, 0) == {Fraction(0), Fraction(1, 2)}
+        assert self.phases(3, 0, Fraction(0)) == [0.0, 0.5]
 
     def test_k2_l1_delta0(self):
-        pair = undefined_rho_eigenvalues(2, 1, 0.0)
-        assert sorted(z.real for z in pair) == [-1.0, 1.0]
+        assert 1 in weight_forms(2, Fraction(0))[1]
+        assert constant_block_fractions(2, 1) == {Fraction(1, 2), Fraction(0)}
+        assert self.phases(2, 1, Fraction(0)) == [0.0, 0.5]
 
     def test_rejects_defined_block(self):
-        with pytest.raises(ValueError):
-            undefined_rho_eigenvalues(3, 1, 0.0)
+        assert 1 not in weight_forms(3, Fraction(0))[1]
 
     def test_independent_of_rho(self):
         # the same pair appears in the actual spectrum for any weight
+        expected = sorted(float(f) for f in constant_block_fractions(3, 0))
         for rho in (0.0, 0.3, 0.8, 1.0):
-            pair = eigenvalues_closed_form(3, 0, CoinParams(rho))
-            expected = undefined_rho_eigenvalues(3, 0, 0.0)
-            assert min(abs(pair[0] - e) for e in expected) < 1e-12
+            assert self.phases(3, 0, Fraction(0), rho) == expected
 
 
 class TestLcmDenominators:
@@ -133,7 +151,7 @@ def _pick_rational_weight_case(rng):
         v = int(rng.integers(1, 13))
         u = int(rng.integers(0, v))
         delta = TWO_PI * u / v
-        rho = rho_for(k, l, fraction, delta)
+        rho = rho_for(k, l, fraction, Fraction(u, v))
         if rho is not None and 1e-6 < rho < 1.0 - 1e-6:
             return k, l, fraction, delta, rho
 
@@ -221,9 +239,9 @@ class TestPeriodMinimality:
 class TestDoublingProperty:
     def test_odd_cycles_share_solutions_with_doubles(self):
         certificates = [
-            solve_k3(Fraction(0), Fraction(1, 8)),
-            solve_k3(Fraction(1, 3), Fraction(7, 24)),
-            solve_two_form(5, Fraction(0), max_den=20)[0],
+            solve_seeded(3, Fraction(0), Fraction(1, 8)),
+            solve_seeded(3, Fraction(1, 3), Fraction(7, 24)),
+            enumerate_seeded(5, Fraction(0), max_den=20).solutions[0],
             solve_rho_edge(7, Fraction(1, 3), 0),
             solve_rho_edge(7, Fraction(1, 3), 1),
             solve_rho_edge(9, Fraction(2, 5), 0),

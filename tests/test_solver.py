@@ -1,4 +1,4 @@
-"""Per-cycle solution families, the two-form search, and the approximate mode."""
+"""Weight forms, the seed-search dispatch, the rho edges, and the approximate mode."""
 
 import math
 from fractions import Fraction
@@ -11,17 +11,14 @@ from cyclewalk import (
     constant_block_fractions,
     enumerate_seeded,
     full_spectrum,
-    k2_seed_window,
     power_deviation,
     principal_phase,
     solve_approximate,
-    solve_k2,
-    solve_k3,
-    solve_k4,
     solve_rho_edge,
-    solve_two_form,
-    undefined_blocks,
+    solve_seeded,
+    weight_forms,
 )
+from cyclewalk.solver import reduced_fractions
 from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
 
 RNG = np.random.default_rng(424242)
@@ -51,17 +48,60 @@ class TestCompanions:
                 assert companion_fractions(member, dtp) == cls
 
     def test_undefined_blocks_exact(self):
-        assert undefined_blocks(3, Fraction(0)) == (0,)
-        assert undefined_blocks(3, Fraction(1, 3)) == (1,)
-        assert undefined_blocks(3, Fraction(2, 3)) == (2,)
-        assert undefined_blocks(4, Fraction(0)) == (0, 2)
-        assert undefined_blocks(4, Fraction(1, 2)) == (1, 3)
-        assert undefined_blocks(4, Fraction(1, 4)) == ()
-        assert undefined_blocks(8, Fraction(1, 4)) == (3, 7)
+        def degenerate(k, dtp):
+            return weight_forms(k, dtp)[1]
+
+        assert degenerate(3, Fraction(0)) == (0,)
+        assert degenerate(3, Fraction(1, 3)) == (1,)
+        assert degenerate(3, Fraction(2, 3)) == (2,)
+        assert degenerate(4, Fraction(0)) == (0, 2)
+        assert degenerate(4, Fraction(1, 2)) == (1, 3)
+        assert degenerate(4, Fraction(1, 4)) == ()
+        assert degenerate(8, Fraction(1, 4)) == (3, 7)
 
     def test_constant_fractions(self):
         assert constant_block_fractions(3, 0) == {Fraction(0), Fraction(1, 2)}
         assert constant_block_fractions(4, 1) == {Fraction(3, 4), Fraction(1, 4)}
+
+
+def float_forms(k, dtp):
+    """Form count and degenerate blocks from clustering 1 - cos(4*pi*l/k + delta)."""
+    dens = 1.0 - np.cos(4.0 * np.pi * np.arange(k) / k + 2.0 * np.pi * float(dtp))
+    degenerate = np.abs(dens) < 1e-12
+    values = np.sort(dens[~degenerate])
+    count = int(values.size > 0) + int(np.count_nonzero(np.diff(values) > 1e-9))
+    return count, tuple(int(l) for l in np.flatnonzero(degenerate))
+
+
+class TestWeightForms:
+    def test_matches_float_clustering(self):
+        smallest, mismatches = {}, []
+        for k in range(2, 41):
+            for dtp in [Fraction(0)] + reduced_fractions(2 * k):
+                forms, degenerate = weight_forms(k, dtp)
+                if (len(forms), degenerate) != float_forms(k, dtp):
+                    mismatches.append((k, dtp))
+                smallest[k] = min(smallest.get(k, k), len(forms))
+        assert mismatches == []
+        assert smallest[2] == 0
+        assert [k for k, n in smallest.items() if n == 1] == [3, 4, 6]
+        assert [k for k, n in smallest.items() if n == 2] == [5, 8, 10]
+        assert [k for k, n in smallest.items() if n == 3] == [7, 12, 14]
+        assert smallest[9] == smallest[16] == 4
+        assert all(smallest[k] >= 5 for k in range(11, 41, 2))
+
+    def test_forms_partition_the_blocks(self):
+        for k, dtp in ((3, Fraction(0)), (8, Fraction(1, 4)), (10, Fraction(3, 7))):
+            forms, degenerate = weight_forms(k, dtp)
+            blocks = sorted(degenerate + sum(forms.values(), ()))
+            assert blocks == list(range(k))
+            assert list(forms) == sorted(forms)
+            assert all(0 < x <= Fraction(1, 2) for x in forms)
+
+    def test_k2_has_one_form_off_zero(self):
+        assert weight_forms(2, Fraction(0)) == ({}, (0, 1))
+        for dtp in reduced_fractions(12):
+            assert len(weight_forms(2, dtp)[0]) == 1
 
 
 class TestRhoEdge:
@@ -85,14 +125,39 @@ class TestRhoEdge:
             solve_rho_edge(3, Fraction(3, 2), 0)
 
 
+def k2_seed_window(seed):
+    """Open delta/(2*pi) interval in which a k=2 seed's weight is below 1:
+    an oracle, apart from the weight formula, for the dispatch's (0, 1) check."""
+    lo = Fraction(2 * seed.numerator % seed.denominator, 2 * seed.denominator)
+    return lo, lo + Fraction(1, 2)
+
+
+def accepts(k, uv, seed):
+    try:
+        solve_seeded(k, uv, seed)
+    except ValueError:
+        return False
+    return True
+
+
 class TestK2:
     def test_window(self):
-        assert k2_seed_window(Fraction(2, 5)) == (Fraction(2, 5), Fraction(9, 10))
-        assert k2_seed_window(Fraction(1, 6)) == (Fraction(1, 6), Fraction(2, 3))
+        # the weight check accepts exactly the window's interior, less the
+        # zero of the weight at u/v = 2m/n
+        for seed, (lo, hi) in (
+            (Fraction(2, 5), (Fraction(2, 5), Fraction(9, 10))),
+            (Fraction(1, 6), (Fraction(1, 6), Fraction(2, 3))),
+        ):
+            assert k2_seed_window(seed) == (lo, hi)
+            for v in range(2, 31):
+                for u in range(1, v):
+                    uv = Fraction(u, v)
+                    inside = lo < uv < hi and uv != (2 * seed) % 1
+                    assert accepts(2, uv, seed) == inside, (seed, uv)
 
     def test_worked_example(self):
-        cert = solve_k2(Fraction(2, 5), Fraction(2, 3))
-        assert cert.N == 30
+        cert = solve_seeded(2, Fraction(2, 3), Fraction(2, 5))
+        assert cert.N == 30 and cert.case_tag == "k2_seeded"
         assert cert.rho == pytest.approx(
             2.0 / 3.0 * (1.0 - math.sin(7.0 * math.pi / 30.0)), abs=1e-14
         )
@@ -105,30 +170,35 @@ class TestK2:
         assert cert.max_deviation < 1e-9
 
     def test_generators_match_spectrum(self):
-        cert = solve_k2(Fraction(2, 5), Fraction(2, 3))
+        cert = solve_seeded(2, Fraction(2, 3), Fraction(2, 5))
         phases = sorted(principal_phase(full_spectrum(2, cert.params)) / (2.0 * math.pi))
         expected = sorted(float(f) for f in cert.generators)
         assert np.max(np.abs(np.array(phases) - expected)) < 1e-12
 
     def test_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            solve_k2(Fraction(2, 5), Fraction(1, 5))
+            solve_seeded(2, Fraction(1, 5), Fraction(2, 5))
         with pytest.raises(ValueError):
-            solve_k2(Fraction(2, 5), Fraction(9, 10))
+            solve_seeded(2, Fraction(9, 10), Fraction(2, 5))
 
     def test_window_property_random(self):
         # inside the open window the weight is in (0, 1), except the single
         # interior zero at u/v = 2m/n (mod 1); boundaries give 0 or 1.
         # seed 1/2 is degenerate (weight identically 1) and excluded.
+        # Outside the window the weight check rejects every seed.
         count = 0
         while count < 100:
             n = int(RNG.integers(2, 30))
             m = int(RNG.integers(1, n))
             seed = Fraction(m, n)
             if seed == Fraction(1, 2):
+                assert not accepts(2, Fraction(1, 3), seed)
                 continue
             lo, hi = k2_seed_window(seed)
             v = int(RNG.integers(2, 40))
+            for uv in (Fraction(u, v) for u in range(1, v)):
+                if not lo < uv < hi:
+                    assert not accepts(2, uv, seed), (seed, uv)
             candidates = [
                 Fraction(u, v) for u in range(1, v) if lo < Fraction(u, v) < hi
             ]
@@ -141,8 +211,10 @@ class TestK2:
             )
             if uv == (2 * seed) % 1:
                 assert abs(rho) < 1e-9
+                assert not accepts(2, uv, seed)
             else:
                 assert 0.0 < rho < 1.0
+                assert solve_seeded(2, uv, seed).rho == pytest.approx(rho, abs=1e-12)
             count += 1
 
     def test_window_boundary_gives_edge_weight(self):
@@ -153,53 +225,59 @@ class TestK2:
                     1.0 - math.cos(delta)
                 )
                 assert min(abs(rho), abs(rho - 1.0)) < 1e-9
+                assert not accepts(2, uv, seed)
 
 
 class TestK3:
     def test_table_entry_n8(self):
-        cert = solve_k3(Fraction(0), Fraction(1, 8))
+        cert = solve_seeded(3, Fraction(0), Fraction(1, 8))
         assert cert.N == 8 and cert.rho == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_table_entry_n10(self):
-        cert = solve_k3(Fraction(0), Fraction(1, 10))
+        cert = solve_seeded(3, Fraction(0), Fraction(1, 10))
         assert cert.N == 10
         assert cert.rho == pytest.approx((5.0 - SQRT5) / 6.0, abs=1e-14)
 
     def test_nonzero_delta_family(self):
-        cert = solve_k3(Fraction(1, 3), Fraction(7, 24))
+        cert = solve_seeded(3, Fraction(1, 3), Fraction(7, 24))
         assert cert.N == 24 and cert.rho == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_verifies_for_k6_too(self):
-        cert = solve_k3(Fraction(0), Fraction(1, 8))
+        cert = solve_seeded(3, Fraction(0), Fraction(1, 8))
+        assert cert.case_tag == "k3_family"
         assert power_deviation(6, cert.params, cert.N) < 1e-9
 
     def test_rejects_weight_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            solve_k3(Fraction(0), Fraction(1, 4))  # rho = 4/3
+            solve_seeded(3, Fraction(0), Fraction(1, 4))  # rho = 4/3
         with pytest.raises(ValueError):
-            solve_k3(Fraction(0), Fraction(1, 2))  # rho = 0
+            solve_seeded(3, Fraction(0), Fraction(1, 2))  # rho = 0
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            solve_k3(Fraction(1, 5), Fraction(1, 8))
+        # three weight forms at this delta: no seed search applies
+        with pytest.raises(ValueError, match="3 weight forms"):
+            solve_seeded(3, Fraction(1, 5), Fraction(1, 8))
+        # two forms: one seed cannot fill both
+        with pytest.raises(ValueError, match="two weight forms"):
+            solve_seeded(3, Fraction(1, 2), Fraction(1, 8))
 
 
 class TestK4:
     def test_table_entry_n6(self):
-        cert = solve_k4(Fraction(0), Fraction(1, 6))
+        cert = solve_seeded(4, Fraction(0), Fraction(1, 6))
         assert cert.N == 6 and cert.rho == pytest.approx(0.75, abs=1e-14)
 
     def test_table_entry_n8(self):
-        cert = solve_k4(Fraction(0), Fraction(1, 8))
+        cert = solve_seeded(4, Fraction(0), Fraction(1, 8))
         assert cert.N == 8 and cert.rho == pytest.approx(0.5, abs=1e-14)
 
     def test_quarter_turn_delta(self):
-        cert = solve_k4(Fraction(1, 4), Fraction(1, 12))
+        cert = solve_seeded(4, Fraction(1, 4), Fraction(1, 12))
         assert cert.N == 12
         assert cert.rho == pytest.approx((2.0 - math.sqrt(3.0)) / 2.0, abs=1e-14)
 
     def test_delta_pi_uses_shifted_numerator(self):
-        cert = solve_k4(Fraction(1, 2), Fraction(1, 8))
+        cert = solve_seeded(4, Fraction(1, 2), Fraction(1, 8))
         assert cert.N == 8 and cert.rho == pytest.approx(0.5, abs=1e-14)
 
 
@@ -227,10 +305,35 @@ class TestEnumerate:
         assert (6, round(0.75, 10)) in found
         assert (8, round(0.5, 10)) in found
 
+    def test_k6_is_a_k3_family(self):
+        k3 = enumerate_seeded(3, Fraction(1, 3), max_den=16)
+        k6 = enumerate_seeded(6, Fraction(1, 3), max_den=16)
+        assert k6.case_tag == "k3_family" and k6.solutions
+        assert [(c.N, c.generators) for c in k6.solutions] == [
+            (c.N, c.generators) for c in k3.solutions
+        ]
+
+    def test_max_n_applies_to_two_forms(self):
+        assert enumerate_seeded(5, Fraction(0), max_den=20, max_n=10).solutions == ()
+        assert len(enumerate_seeded(5, Fraction(0), max_den=20, max_n=60).solutions) == 2
+
+
+# two-form cases of k=3, 4, 6 and 8 without a solution at denominators <= 30
+BOUNDED_NEGATIVES = [
+    (k, Fraction(*d)) for k in (3, 6) for d in ((1, 6), (1, 2), (5, 6))
+] + [(4, Fraction(1, 3)), (4, Fraction(1, 8)), (8, Fraction(1, 8)), (8, Fraction(3, 8))]
+
+
+@pytest.mark.parametrize("k, dtp", BOUNDED_NEGATIVES, ids=str)
+def test_bounded_negative(k, dtp):
+    assert len(weight_forms(k, dtp)[0]) == 2
+    family = enumerate_seeded(k, dtp, max_den=30)
+    assert family.case_tag == "two_form" and family.solutions == ()
+
 
 class TestTwoForm:
     def test_k8_delta0(self):
-        certs = solve_two_form(8, Fraction(0), max_den=24)
+        certs = enumerate_seeded(8, Fraction(0), max_den=24).solutions
         assert len(certs) == 1
         cert = certs[0]
         assert cert.N == 24 and cert.rho == pytest.approx(0.5, abs=1e-10)
@@ -241,11 +344,11 @@ class TestTwoForm:
 
     def test_k8_delta0_exhaustive_at_den24(self):
         # the published generators are the only solution at denominators <= 24
-        certs = solve_two_form(8, Fraction(0), max_den=24)
+        certs = enumerate_seeded(8, Fraction(0), max_den=24).solutions
         assert {round(c.rho, 9) for c in certs} == {0.5}
 
     def test_k5_delta0_both_families(self):
-        certs = solve_two_form(5, Fraction(0), max_den=20)
+        certs = enumerate_seeded(5, Fraction(0), max_den=20).solutions
         assert [c.N for c in certs] == [60, 60]
         rhos = sorted(round(c.rho, 10) for c in certs)
         assert rhos == [
@@ -261,8 +364,8 @@ class TestTwoForm:
         } <= set(minus.generators)
 
     def test_k10_matches_k5(self):
-        certs5 = solve_two_form(5, Fraction(0), max_den=20)
-        certs10 = solve_two_form(10, Fraction(0), max_den=20)
+        certs5 = enumerate_seeded(5, Fraction(0), max_den=20).solutions
+        certs10 = enumerate_seeded(10, Fraction(0), max_den=20).solutions
         assert [(c.N, round(c.rho, 10)) for c in certs5] == [
             (c.N, round(c.rho, 10)) for c in certs10
         ]
@@ -271,7 +374,7 @@ class TestTwoForm:
         for row in TABLE5_ROWS:
             k = row.k_values[0]
             dtp = row.delta_two_pi[0]
-            certs = solve_two_form(k, dtp, max_den=60)
+            certs = enumerate_seeded(k, dtp, max_den=60).solutions
             match = [c for c in certs if abs(c.rho - row.rho) < 1e-9]
             assert match, (k, dtp, row.rho_display)
             gens = set(match[0].generators)
@@ -281,9 +384,11 @@ class TestTwoForm:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            solve_two_form(7, Fraction(0))
+            enumerate_seeded(7, Fraction(0), 24)
         with pytest.raises(ValueError):
-            solve_two_form(8, Fraction(1, 5))
+            enumerate_seeded(8, Fraction(1, 5), 24)
+        with pytest.raises(ValueError):  # every block degenerate
+            enumerate_seeded(2, Fraction(0), 24)
 
 
 class TestApproximate:
