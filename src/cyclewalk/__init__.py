@@ -5,15 +5,10 @@ from .exprs import ExpressionError, parse_fraction, parse_value
 from .revival import (
     CERTIFICATION_TOL,
     RevivalCertificate,
-    lcm_denominators,
     power_deviation,
-    reconstruct_fraction,
     revival_period,
 )
 from .solver import (
-    SolutionFamily,
-    companion_fractions,
-    constant_block_fractions,
     enumerate_seeded,
     solve_approximate,
     solve_rho_edge,
@@ -21,35 +16,13 @@ from .solver import (
     weight,
     weight_forms,
 )
-from .special import (
-    DeMoivreSubspace,
-    EigenBasis,
-    EigenPair,
-    build_special_state,
-    demoivre_subspace,
-    eigenbasis,
-)
-from .spectral import (
-    BlockDiagonalForm,
-    BlockStructureError,
-    block_diagonalize,
-    block_formula,
-    eigenvalues_closed_form,
-    fourier_matrix,
-    full_spectrum,
-    phase_multiset_distance,
-    principal_phase,
-    walk_fourier,
-)
-from .tables import TableReport, verify_table
+from .special import build_special_state, demoivre_subspace, eigenbasis
+from .spectral import block_formula, full_spectrum
+from .tables import verify_table
 from .walk import (
     HADAMARD,
     CoinParams,
-    LineWalkResult,
-    WalkOperator,
     WalkerState,
-    build_coin,
-    build_shift_cycle,
     build_walk_operator,
     evolve,
     line_walk,
@@ -59,49 +32,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CERTIFICATION_TOL",
-    "BlockDiagonalForm",
-    "BlockStructureError",
     "CoinParams",
-    "DeMoivreSubspace",
-    "EigenBasis",
-    "EigenPair",
     "ExpressionError",
     "HADAMARD",
-    "LineWalkResult",
     "RevivalCertificate",
-    "SolutionFamily",
-    "TableReport",
-    "WalkOperator",
     "WalkerState",
-    "block_diagonalize",
     "block_formula",
-    "build_coin",
-    "build_shift_cycle",
     "build_special_state",
     "build_walk_operator",
-    "companion_fractions",
-    "constant_block_fractions",
     "demoivre_subspace",
     "eigenbasis",
-    "eigenvalues_closed_form",
     "enumerate_seeded",
     "evolve",
-    "fourier_matrix",
     "full_spectrum",
-    "lcm_denominators",
     "line_walk",
     "parse_fraction",
     "parse_value",
-    "phase_multiset_distance",
     "power_deviation",
-    "principal_phase",
-    "reconstruct_fraction",
     "revival_period",
     "solve_approximate",
     "solve_rho_edge",
     "solve_seeded",
     "verify_table",
-    "walk_fourier",
     "weight",
     "weight_forms",
 ]

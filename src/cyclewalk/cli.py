@@ -144,48 +144,40 @@ def _parse_complex_list(text: str) -> list[complex]:
         raise CliError(2, f"cannot parse amplitude list {text!r}: {exc}") from exc
 
 
-def _emit_rows(rows, header, args) -> None:
-    if args.out == "json":
-        print(json.dumps(rows_to_json(rows, header), indent=None))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def rows_to_json(rows, header):
-    return [dict(zip(header, row)) for row in rows]
+def _cycle_steps(state: WalkerState, op, steps: int):
+    """The flat amplitude vector after each of 0..steps steps."""
+    amps = state.amplitudes
+    for t in range(steps + 1):
+        if t:
+            amps = op.step(amps)
+        yield amps
 
 
 def cmd_simulate(args) -> int:
     _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
     params, _ = _coin_params(args)
-    header = ["step", "position", "coin", "re", "im", "prob"]
-    rows = []
     if args.line:
         result = line_walk(_initial_line_state(args.initial), params, args.steps)
-        for t in range(args.steps + 1):
-            table = result.history[t]
-            for i, pos in enumerate(result.positions):
-                for coin in (0, 1):
-                    amp = table[i, coin]
-                    rows.append(
-                        [t, int(pos), coin, amp.real, amp.imag, abs(amp) ** 2]
-                    )
-        _emit_rows(rows, header, args)
-        return 0
-    if args.k is None:
+        positions, history = result.positions.tolist(), result.history.reshape(args.steps + 1, -1)
+    elif args.k is None:
         raise CliError(2, "--k is required unless --line is given")
-    state = _initial_cycle_state(args.initial, args.k)
-    op = build_walk_operator(args.k, params)
-    amps = state.amplitudes
-    for t in range(args.steps + 1):
-        for i in range(args.k):
-            for coin in (0, 1):
-                amp = amps[2 * i + coin]
-                rows.append([t, i, coin, amp.real, amp.imag, abs(amp) ** 2])
-        amps = op.step(amps)
-    _emit_rows(rows, header, args)
+    else:
+        state = _initial_cycle_state(args.initial, args.k)
+        op = build_walk_operator(args.k, params)
+        positions, history = range(args.k), _cycle_steps(state, op, args.steps)
+    header = ["step", "position", "coin", "re", "im", "prob"]
+    # amplitude vectors are position-major with the coin index fastest
+    cells = [(pos, coin) for pos in positions for coin in (0, 1)]
+    rows = []
+    for t, amps in enumerate(history):
+        for (pos, coin), amp in zip(cells, amps):
+            rows.append([t, pos, coin, amp.real, amp.imag, abs(amp) ** 2])
+    if args.out == "json":
+        print(json.dumps([dict(zip(header, row)) for row in rows]))
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return 0
 
 
@@ -255,7 +247,7 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
         if args.k is None or args.rho is None or args.epsilon is None:
             raise CliError(2, "approx needs --k, --rho and --epsilon")
         if dtp is not None:
-            delta = TWO_PI * float(dtp)
+            delta = dtp
         elif args.delta_rad is not None:
             delta = args.delta_rad
         else:

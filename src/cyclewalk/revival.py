@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "PHASE_RECONSTRUCTION_TOL",
     "UNDEFINED_DENOMINATOR_TOL",
     "RevivalCertificate",
-    "lcm_denominators",
     "power_deviation",
     "reconstruct_fraction",
     "revival_period",
@@ -38,17 +36,6 @@ CERTIFICATION_TOL = 1e-9
 PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
-
-
-def lcm_denominators(fractions: Iterable[Fraction], extra: Iterable[int] = ()) -> int:
-    """LCM of the fractions' denominators together with any extra integers."""
-    dens = [f.denominator for f in fractions]
-    extras = [int(x) for x in extra]
-    if not dens and not extras:
-        raise ValueError("nothing to combine")
-    if any(x < 1 for x in extras):
-        raise ValueError("extra integers must be positive")
-    return math.lcm(*dens, *extras)
 
 
 def reconstruct_fraction(
@@ -132,14 +119,13 @@ def revival_period(
     k: int,
     params: CoinParams,
     max_n: int = DEFAULT_MAX_DENOMINATOR,
-    tol: float = CERTIFICATION_TOL,
 ) -> RevivalCertificate | None:
     """Detect the revival period from the closed-form spectrum.
 
     Every eigenphase must reconstruct as a fraction with denominator at most
     max_n; the candidate period is the LCM of those denominators.  Returns
     None when any phase fails reconstruction, the LCM exceeds max_n, or the
-    powered operator misses the identity by tol or more.
+    powered operator misses the identity by CERTIFICATION_TOL or more.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
@@ -149,12 +135,12 @@ def revival_period(
         if fraction is None:
             return None
         fractions.append(fraction)
-    n = lcm_denominators(fractions)
+    n = math.lcm(*(f.denominator for f in fractions))
     if n > max_n:
         return None
 
     deviation = power_deviation(k, params, n)
-    if not deviation < tol:
+    if not deviation < CERTIFICATION_TOL:
         return None
     return RevivalCertificate(
         k=k,

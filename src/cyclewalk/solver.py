@@ -30,10 +30,10 @@ from .revival import (
     CERTIFICATION_TOL,
     UNDEFINED_DENOMINATOR_TOL,
     RevivalCertificate,
-    lcm_denominators,
     power_deviation,
+    reconstruct_fraction,
 )
-from .spectral import eigenvalues_closed_form
+from .spectral import full_spectrum
 from .walk import CoinParams
 
 __all__ = [
@@ -149,13 +149,13 @@ def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
 
 
 def reduced_fractions(max_den: int) -> list[Fraction]:
-    """All reduced fractions in (0, 1) with denominator <= max_den, ascending."""
+    """All reduced fractions in (0, 1) with denominator <= max_den."""
     out = []
     for q in range(2, max_den + 1):
         for p in range(1, q):
             if math.gcd(p, q) == 1:
                 out.append(Fraction(p, q))
-    return sorted(out)
+    return out
 
 
 def _verified(
@@ -231,7 +231,7 @@ def _certify(k, dtp, rho, seeds, constants, tag, max_n=None):
     generators = set(constants)
     for seed in seeds:
         generators |= companion_fractions(seed, dtp)
-    n = lcm_denominators(generators)
+    n = math.lcm(*(f.denominator for f in generators))
     if max_n is not None and n > max_n:
         return None
     return _verified(k, rho, dtp, generators, n, tag, _ALSO_VERIFIED.get(k, ()))
@@ -349,7 +349,6 @@ def solve_approximate(
     rho: float,
     delta: float | Fraction,
     epsilon: float,
-    max_den: int = APPROX_DENOMINATOR_CAP,
 ) -> RevivalCertificate | None:
     """Best-effort near-revival for a fixed coin.
 
@@ -359,7 +358,7 @@ def solve_approximate(
     phase otherwise), and N is the LCM of the denominators.  The recorded
     deviation is whatever N actually achieves and is NOT required to clear
     the certification tolerance.  Returns None when some form admits no
-    fraction with denominator <= max_den or the LCM exceeds
+    fraction with denominator <= APPROX_DENOMINATOR_CAP or the LCM exceeds
     APPROX_PERIOD_CAP.
     """
     if k < 2:
@@ -373,8 +372,6 @@ def solve_approximate(
     else:
         # floats that are exact rational turns (e.g. 0.0) still get the
         # exact companion treatment
-        from .revival import reconstruct_fraction
-
         dtp = reconstruct_fraction(float(delta), max_den=1000, tol=1e-12)
     delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
     params = CoinParams.from_delta(rho, delta_value)
@@ -389,12 +386,14 @@ def solve_approximate(
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
             if intervals is None:
                 return None
-            picked = _smallest_fraction_in(intervals, max_den)
+            picked = _smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
             if picked is None:
                 return None
             fractions |= companion_fractions(picked, dtp)
     else:
-        # irrational delta: every eigenphase needs its own fraction
+        # irrational delta: every eigenphase needs its own fraction; row l of
+        # the spectrum is block l's pair, and each value is matched on its own
+        spectrum = full_spectrum(k, params).reshape(k, 2)
         for l in range(k):
             form_den = 1.0 - math.cos(4.0 * math.pi * l / k + delta_value)
             if abs(form_den) < UNDEFINED_DENOMINATOR_TOL:
@@ -403,19 +402,19 @@ def solve_approximate(
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
             if intervals is None:
                 return None
-            for value in eigenvalues_closed_form(k, l, params):
+            for value in spectrum[l]:
                 phase = (float(np.angle(value)) / TWO_PI) % 1.0
                 near = [
                     (a, b)
                     for a, b in intervals
                     if a - 1e-9 <= phase <= b + 1e-9
                 ]
-                picked = _smallest_fraction_in(near or intervals, max_den)
+                picked = _smallest_fraction_in(near or intervals, APPROX_DENOMINATOR_CAP)
                 if picked is None:
                     return None
                 fractions.add(picked)
 
-    n = lcm_denominators(fractions)
+    n = math.lcm(*(f.denominator for f in fractions))
     if n > APPROX_PERIOD_CAP:
         return None
     deviation = power_deviation(k, params, n)

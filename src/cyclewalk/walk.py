@@ -9,7 +9,7 @@ The step operator is block circulant, so it is held as its k 2x2 Fourier
 symbols and powered block by block in closed form: evolving a state by any
 number of steps costs one FFT, k 2x2 products and one inverse FFT.  A
 single step can also be taken in position space in O(k).  The dense
-2k x 2k matrix is built only when asked for, as a test oracle.
+2k x 2k matrix is a test oracle, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "WalkOperator",
     "WalkerState",
     "build_coin",
-    "build_shift_cycle",
     "build_walk_operator",
     "evolve",
     "line_walk",
@@ -102,17 +101,6 @@ def build_coin(params: CoinParams) -> np.ndarray:
     )
 
 
-def build_shift_cycle(k: int) -> np.ndarray:
-    """Coin-conditioned cyclic shift: |i,0> -> |i-1 mod k, 0>, |i,1> -> |i+1 mod k, 1>."""
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
-    shift = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-    for i in range(k):
-        shift[2 * ((i - 1) % k), 2 * i] = 1.0
-        shift[2 * ((i + 1) % k) + 1, 2 * i + 1] = 1.0
-    return shift
-
-
 @dataclass(frozen=True)
 class WalkOperator:
     """One step of the cycle walk, held as its k Fourier symbols.
@@ -151,13 +139,6 @@ class WalkOperator:
         symbols = np.stack([w, w.conj()], axis=1)[:, :, None] * self.coin
         symbols.setflags(write=False)
         return symbols
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense 2k x 2k step matrix: shift_cycle(k) . (I_k kron coin).  Oracle only."""
-        step = build_shift_cycle(self.k) @ np.kron(np.eye(self.k), self.coin)
-        step.setflags(write=False)
-        return step
 
     def power(self, n: int) -> np.ndarray:
         """Symbols of U^n, (k, 2, 2), in O(k) for any n and on the unit circle for large n."""

@@ -1,0 +1,145 @@
+"""Dense reference implementations that the tests check the Fourier-block engine against.
+
+None of this is on a production path: the dense 2k x 2k step matrix, the
+kron(F_k, F_2) conjugation that block-diagonalizes it, and the paper's scalar
+square-root formula for each block's eigenvalue pair.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cyclewalk.spectral import (
+    BLOCK_RESIDUAL_TOL,
+    TWO_PI,
+    BlockStructureError,
+    principal_phase,
+)
+from cyclewalk.walk import CoinParams, WalkOperator
+
+
+def build_shift_cycle(k: int) -> np.ndarray:
+    """Coin-conditioned cyclic shift: |i,0> -> |i-1 mod k, 0>, |i,1> -> |i+1 mod k, 1>."""
+    if k < 2:
+        raise ValueError(f"cycle length must be at least 2, got {k}")
+    shift = np.zeros((2 * k, 2 * k), dtype=np.complex128)
+    for i in range(k):
+        shift[2 * ((i - 1) % k), 2 * i] = 1.0
+        shift[2 * ((i + 1) % k) + 1, 2 * i + 1] = 1.0
+    return shift
+
+
+def walk_matrix(op: WalkOperator) -> np.ndarray:
+    """Dense 2k x 2k step matrix: shift_cycle(k) . (I_k kron coin).  Oracle only."""
+    step = build_shift_cycle(op.k) @ np.kron(np.eye(op.k), op.coin)
+    step.setflags(write=False)
+    return step
+
+
+def fourier_matrix(m: int) -> np.ndarray:
+    """Unitary Fourier matrix with entries exp(2*pi*i*j*l/m)/sqrt(m)."""
+    if m < 1:
+        raise ValueError(f"size must be positive, got {m}")
+    idx = np.arange(m)
+    return np.exp(2j * math.pi / m * np.outer(idx, idx)) / math.sqrt(m)
+
+
+def walk_fourier(k: int) -> np.ndarray:
+    """kron(position Fourier, coin Fourier): block-diagonalizes a k-cycle step."""
+    return np.kron(fourier_matrix(k), fourier_matrix(2))
+
+
+@dataclass(frozen=True)
+class BlockDiagonalForm:
+    """The k 2x2 diagonal blocks of F U F^dagger plus each block's eigenpairs.
+
+    Eigenvalues are sorted by principal phase within each block;
+    eigenvectors[l][:, j] belongs to eigenvalues[l, j].
+    """
+
+    k: int
+    blocks: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def _sorted_block_eig(block: np.ndarray):
+    values, vectors = np.linalg.eig(block)
+    order = np.argsort(principal_phase(values))
+    return values[order], vectors[:, order]
+
+
+def block_diagonalize(op: WalkOperator) -> BlockDiagonalForm:
+    """Conjugate the step operator with kron(F_k, F_2) and collect the 2x2 blocks.
+
+    Dense and O(k^3): a test oracle for the closed forms, not used in production.
+    Raises BlockStructureError when the off-block residual exceeds
+    BLOCK_RESIDUAL_TOL, which can only happen if the operator was built
+    inconsistently with the circulant layout.
+    """
+    k = op.k
+    f = walk_fourier(k)
+    d = f @ walk_matrix(op) @ f.conj().T
+    mask = np.ones(d.shape, dtype=bool)
+    for l in range(k):
+        mask[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = False
+    residual = float(np.max(np.abs(d[mask]))) if k > 1 else 0.0
+    if residual > BLOCK_RESIDUAL_TOL:
+        raise BlockStructureError(
+            f"off-block residual {residual:.3e} exceeds {BLOCK_RESIDUAL_TOL:.1e}"
+        )
+    blocks = np.stack([d[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] for l in range(k)])
+    eigenvalues = np.empty((k, 2), dtype=np.complex128)
+    eigenvectors = np.empty((k, 2, 2), dtype=np.complex128)
+    for l in range(k):
+        eigenvalues[l], eigenvectors[l] = _sorted_block_eig(blocks[l])
+    for arr in (blocks, eigenvalues, eigenvectors):
+        arr.setflags(write=False)
+    return BlockDiagonalForm(
+        k=k, blocks=blocks, eigenvalues=eigenvalues, eigenvectors=eigenvectors
+    )
+
+
+def eigenvalues_closed_form(
+    k: int, l: int, params: CoinParams
+) -> tuple[complex, complex]:
+    """Eigenvalue pair of block l, sorted by principal phase.
+
+    The unordered pair is insensitive to the branch of the square root
+    (flipping the root's sign swaps the two values), so the principal
+    branch is used throughout; the det/trace identities pin the pair.
+    """
+    if not 0 <= l < k:
+        raise ValueError(f"block index {l} out of range for k={k}")
+    delta = params.delta
+    w = cmath.exp(-2j * math.pi * l / k)
+    wide = cmath.exp(1j * (4.0 * math.pi * l / k + delta))
+    half_angle = 2.0 * math.pi * l / k + 0.5 * delta
+    root = cmath.sqrt(wide * (1.0 - params.rho * math.sin(half_angle) ** 2))
+    trace_part = (1.0 - wide) * math.sqrt(params.rho)
+    pair = (0.5 * w * (trace_part + 2.0 * root), 0.5 * w * (trace_part - 2.0 * root))
+    return tuple(sorted(pair, key=lambda z: cmath.phase(z) % TWO_PI))
+
+
+def phase_multiset_distance(a, b) -> float:
+    """Largest gap in a greedy circular matching of two unit-modulus multisets.
+
+    Both inputs must have equal length; each element of `a` is matched to
+    (and consumes) its nearest remaining element of `b`, with distance
+    measured along the unit circle.
+    """
+    a = list(np.asarray(a, dtype=np.complex128))
+    b = list(np.asarray(b, dtype=np.complex128))
+    if len(a) != len(b):
+        raise ValueError("multisets must have equal size")
+    worst = 0.0
+    for z in a:
+        gaps = [abs(cmath.phase(z * w.conjugate())) for w in b]
+        best = int(np.argmin(gaps))
+        worst = max(worst, gaps[best])
+        b.pop(best)
+    return worst

@@ -1,0 +1,97 @@
+"""The public surface: exported names, where the dense oracles live, and the import path."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cyclewalk
+from cyclewalk.walk import WalkOperator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LAYERS = ("walk", "spectral", "revival", "solver", "tables", "special", "cli", "exprs")
+MOVED_TO_ORACLES = (
+    "build_shift_cycle",
+    "fourier_matrix",
+    "walk_fourier",
+    "BlockDiagonalForm",
+    "_sorted_block_eig",
+    "block_diagonalize",
+    "phase_multiset_distance",
+    "eigenvalues_closed_form",
+)
+
+
+def test_package_exports_what_the_cli_readme_and_benchmark_use():
+    assert sorted(cyclewalk.__all__) == [
+        "CERTIFICATION_TOL",
+        "CoinParams",
+        "ExpressionError",
+        "HADAMARD",
+        "RevivalCertificate",
+        "WalkerState",
+        "block_formula",
+        "build_special_state",
+        "build_walk_operator",
+        "demoivre_subspace",
+        "eigenbasis",
+        "enumerate_seeded",
+        "evolve",
+        "full_spectrum",
+        "line_walk",
+        "parse_fraction",
+        "parse_value",
+        "power_deviation",
+        "revival_period",
+        "solve_approximate",
+        "solve_rho_edge",
+        "solve_seeded",
+        "verify_table",
+        "weight",
+        "weight_forms",
+    ]
+    assert all(hasattr(cyclewalk, name) for name in cyclewalk.__all__)
+
+
+@pytest.mark.parametrize("module", ["cyclewalk", *(f"cyclewalk.{layer}" for layer in LAYERS)])
+def test_dense_oracles_are_not_in_the_library(module):
+    exposed = [name for name in MOVED_TO_ORACLES if hasattr(importlib.import_module(module), name)]
+    assert exposed == []
+
+
+def test_walk_operator_has_no_dense_matrix():
+    assert not hasattr(WalkOperator, "matrix")
+
+
+def test_layer_exports_keep_the_self_timed_functions():
+    # the benchmark tracer wraps only names a layer lists in __all__
+    timed = {
+        "walk": ("build_walk_operator", "evolve", "line_walk"),
+        "spectral": ("full_spectrum",),
+        "revival": ("power_deviation", "revival_period"),
+        "solver": ("enumerate_seeded", "solve_approximate"),
+        "tables": ("verify_table",),
+        "special": ("eigenbasis", "build_special_state"),
+        "cli": ("main",),
+        "exprs": ("parse_value", "parse_fraction"),
+    }
+    for layer, names in timed.items():
+        assert set(names) <= set(importlib.import_module(f"cyclewalk.{layer}").__all__), layer
+
+
+def test_import_path_loads_neither_scipy_nor_sympy():
+    # each would add about 0.3 s to every start-up; tests may use them as oracles
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys, cyclewalk, cyclewalk.cli\n"
+        "print(sorted({'scipy', 'sympy'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

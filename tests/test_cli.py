@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from cyclewalk.cli import certificate_from_json, certificate_to_json, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +90,21 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--bogus"])
         assert excinfo.value.code == 2
+
+    # delta = 0 keeps every amplitude a product of sqrt(rho) terms, so the
+    # bytes depend only on sqrt rounding, not on the order of complex products
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("simulate_cycle", "--k 3 --rho 2/3 --delta-frac 0/1 --steps 8".split()),
+            ("simulate_line", "--line --steps 3".split()),
+        ],
+    )
+    def test_golden_bytes(self, capsys, name, argv, out):
+        code, text, _ = run_cli(capsys, "simulate", *argv, "--out", out)
+        assert code == 0
+        assert text == (GOLDEN / f"{name}.{out}").read_text()
 
 
 class TestVerify:
@@ -219,6 +237,18 @@ class TestSolve:
         assert code == 0
         record = json.loads(out.strip())
         assert record["N"] == 2700 and record["max_deviation"] > 0.0
+
+    def test_approx_keeps_an_exact_delta_frac(self, capsys):
+        # a denominator above the radians reconstruction cap must survive intact
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--k", "2", "--case", "approx", "--rho", "0.5",
+            "--delta-frac", "500/1001", "--epsilon", "0.05",
+        )
+        assert code == 0
+        record = json.loads(out.strip())
+        assert record["N"] == 8008
+        assert (record["delta"]["two_pi_num"], record["delta"]["two_pi_den"]) == (500, 1001)
 
     def test_inconsistent_parameters_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--k", "2", "--case", "k2")

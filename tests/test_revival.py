@@ -10,18 +10,18 @@ import pytest
 from cyclewalk import (
     CoinParams,
     RevivalCertificate,
-    constant_block_fractions,
-    eigenvalues_closed_form,
+    build_walk_operator,
     enumerate_seeded,
-    lcm_denominators,
     power_deviation,
-    reconstruct_fraction,
     revival_period,
     solve_rho_edge,
     solve_seeded,
     weight,
     weight_forms,
 )
+from cyclewalk.revival import reconstruct_fraction
+from cyclewalk.solver import constant_block_fractions
+from oracles import eigenvalues_closed_form, walk_matrix
 
 RNG = np.random.default_rng(8675309)
 
@@ -93,22 +93,6 @@ class TestUndefinedRhoEigenvalues:
         expected = sorted(float(f) for f in constant_block_fractions(3, 0))
         for rho in (0.0, 0.3, 0.8, 1.0):
             assert self.phases(3, 0, Fraction(0), rho) == expected
-
-
-class TestLcmDenominators:
-    def test_worked_example(self):
-        fractions = [Fraction(4, 15), Fraction(2, 5), Fraction(23, 30), Fraction(9, 10)]
-        assert lcm_denominators(fractions) == 30
-
-    def test_single(self):
-        assert lcm_denominators([Fraction(3, 7)]) == 7
-
-    def test_extras_for_rho_one_family(self):
-        assert lcm_denominators([], extra=[2, 3, 6]) == 6
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lcm_denominators([])
 
 
 class TestReconstructFraction:
@@ -198,14 +182,12 @@ class TestRevivalPeriod:
         assert revival_period(7, CoinParams(0.5), max_n=500) is None
 
     def test_k7_direct_powering_confirms(self):
-        from cyclewalk import build_walk_operator
-
-        op = build_walk_operator(7, CoinParams(0.5))
+        matrix = walk_matrix(build_walk_operator(7, CoinParams(0.5)))
         eye = np.eye(14)
         power = np.array(eye)
         smallest = np.inf
         for _ in range(500):
-            power = op.matrix @ power
+            power = matrix @ power
             smallest = min(smallest, float(np.max(np.abs(power - eye))))
         # measured minimum is ~0.063 (at N=322); well clear of a revival
         assert smallest > 0.05

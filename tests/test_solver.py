@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from cyclewalk import (
-    companion_fractions,
-    constant_block_fractions,
     enumerate_seeded,
     full_spectrum,
     power_deviation,
-    principal_phase,
     solve_approximate,
     solve_rho_edge,
     solve_seeded,
     weight_forms,
 )
-from cyclewalk.solver import reduced_fractions
+from cyclewalk.solver import companion_fractions, constant_block_fractions, reduced_fractions
+from cyclewalk.spectral import principal_phase
 from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
 
 RNG = np.random.default_rng(424242)

@@ -6,16 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import (
-    CoinParams,
+from cyclewalk import CoinParams, block_formula, build_walk_operator, full_spectrum
+from cyclewalk.spectral import principal_phase
+from oracles import (
     block_diagonalize,
-    block_formula,
-    build_walk_operator,
     eigenvalues_closed_form,
     fourier_matrix,
-    full_spectrum,
     phase_multiset_distance,
-    principal_phase,
+    walk_matrix,
 )
 
 RNG = np.random.default_rng(314159)
@@ -86,8 +84,9 @@ class TestCirculantVector:
         # up moves left: |1, up> reaches |0, up> through the top coin row
         assert np.max(np.abs(column[4] - top)) < 1e-15
         assert np.max(np.abs(column[1] - bottom)) < 1e-15
-        assert np.max(np.abs(op.matrix[0:2, 2:4] - top)) == 0.0
-        assert np.max(np.abs(op.matrix[2:4, 0:2] - bottom)) == 0.0
+        matrix = walk_matrix(op)
+        assert np.max(np.abs(matrix[0:2, 2:4] - top)) == 0.0
+        assert np.max(np.abs(matrix[2:4, 0:2] - bottom)) == 0.0
 
 
 class TestBlockDiagonalize:
@@ -106,7 +105,7 @@ class TestBlockDiagonalize:
             op = build_walk_operator(k, random_params())
             bd = block_diagonalize(op)
             union = bd.eigenvalues.reshape(-1)
-            dense = np.linalg.eigvals(op.matrix)
+            dense = np.linalg.eigvals(walk_matrix(op))
             assert phase_multiset_distance(union, dense) < 1e-10
 
     def test_k3_delta0_l0_block(self):
@@ -261,8 +260,22 @@ class TestFullSpectrum:
         for _ in range(50):
             k = int(RNG.integers(2, 13))
             params = random_params()
-            dense = np.linalg.eigvals(build_walk_operator(k, params).matrix)
+            dense = np.linalg.eigvals(walk_matrix(build_walk_operator(k, params)))
             assert phase_multiset_distance(full_spectrum(k, params), dense) < 1e-10
+
+    def test_rows_are_the_closed_form_block_pairs(self):
+        # the approximate solver reads block l's pair from row l, so the rows
+        # must match block by block, not only as one multiset
+        for k in range(2, 25):
+            for rho in (0.0, 1.0, *RNG.uniform(0.0, 1.0, 3)):
+                for delta in (0.0, math.pi, *RNG.uniform(0.0, 2.0 * math.pi, 2)):
+                    params = CoinParams.from_delta(rho, delta)
+                    rows = full_spectrum(k, params).reshape(k, 2)
+                    for l in range(k):
+                        a, b = eigenvalues_closed_form(k, l, params)
+                        x, y = rows[l]
+                        gap = min(max(abs(x - a), abs(y - b)), max(abs(x - b), abs(y - a)))
+                        assert gap < 1e-12, (k, l, rho, delta)
 
 
 class TestEigenphasePower:
@@ -272,5 +285,5 @@ class TestEigenphasePower:
             n = int(RNG.integers(0, 1001))
             op = build_walk_operator(k, random_params())
             fast = dense_power(op, n)
-            direct = np.linalg.matrix_power(op.matrix, n)
+            direct = np.linalg.matrix_power(walk_matrix(op), n)
             assert np.max(np.abs(fast - direct)) < 1e-9
