@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,12 +247,9 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
     if case == "approx":
         if args.k is None or args.rho is None or args.epsilon is None:
             raise CliError(2, "approx needs --k, --rho and --epsilon")
-        if dtp is not None:
-            delta = dtp
-        elif args.delta_rad is not None:
-            delta = args.delta_rad
-        else:
-            raise CliError(2, "approx needs --delta-frac or --delta-rad")
+        delta = dtp if dtp is not None else args.delta_rad
+        _require(delta is not None, "approx needs --delta-frac or --delta-rad")
+        _require(math.isfinite(delta), f"--delta-rad must be finite, got {delta}")
         cert = solve_approximate(args.k, parse_value(args.rho), delta, args.epsilon)
         if cert is None:
             raise CliError(
@@ -266,6 +264,8 @@ def cmd_solve(args) -> int:
     _require(args.max_n is None or args.max_n >= 1, f"--max-n must be positive, got {args.max_n}")
     try:
         certificates = _solve_certificates(args)
+    except ExpressionError:
+        raise  # malformed input is a usage error, reported by main
     except ValueError as exc:
         raise CliError(1, str(exc)) from exc
     certificates.sort(key=lambda c: (c.N, c.rho, c.delta))
@@ -324,7 +324,9 @@ def cmd_special(args) -> int:
     return 0 if fidelities[-1] > 1.0 - 1e-9 else 1
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="cyclewalk",
         description="Discrete-time quantum walks on cycles and their exact revivals.",
@@ -388,13 +390,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _require(args.k is None or args.k >= 2, f"--k must be at least 2, got {args.k}")
+        for flag in ("tol", "epsilon"):  # tolerances of verify, special and solve
+            value = getattr(args, flag, None)
+            ok = value is None or 0 < value < math.inf
+            _require(ok, f"--{flag} must be positive and finite, got {value}")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ExpressionError) as exc:
         print(f"cyclewalk: {exc}", file=sys.stderr)
-        return exc.code
-    except ExpressionError as exc:
-        print(f"cyclewalk: {exc}", file=sys.stderr)
-        return 2
+        return exc.code if isinstance(exc, CliError) else 2
 
 
 if __name__ == "__main__":

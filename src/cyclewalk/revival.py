@@ -37,6 +37,11 @@ PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
 
+#: float-error allowance of the proof test in `_proved_fractions`: the test can
+#: pass only when q*max_n < 5e14 and |x - p/q| < 1/2, so p, q and q*max_n are
+#: exact and each of its three roundings errs by at most 1.5 * 2**-53
+_PROOF_MARGIN = 1e-15
+
 
 def reconstruct_fraction(
     phase: float,
@@ -58,6 +63,29 @@ def reconstruct_fraction(
     if abs(x - float(best)) >= tol:
         return None
     return Fraction(best.numerator % best.denominator, best.denominator)
+
+
+def _proved_fractions(x: np.ndarray, max_n: int):
+    """Last float continued-fraction convergent p/q of each x in [0, 1] with q <= max_n.
+
+    `proved` marks |x - p/q| < 1/(2*q*max_n): any other r/s with s <= max_n lies at
+    least 1/(q*s) from p/q, so p/q is Fraction(x).limit_denominator(max_n), a convergent
+    (Legendre: no semiconvergent step needed), and reduced, its float recurrence exact.
+    """
+    max_n = min(max_n, 2**53)  # fits a float; no proof can pass from 5e14 on anyway
+    p0, q0, p, q = (np.full_like(x, v) for v in (0.0, 1.0, 1.0, 0.0))
+    rest, live = x, np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while live.any():
+            a = np.floor(rest)
+            q_next = q0 + a * q
+            live &= q_next <= max_n
+            p0, p = np.where(live, p, p0), np.where(live, p0 + a * p, p)
+            q0, q = np.where(live, q, q0), np.where(live, q_next, q)
+            live &= rest > a
+            rest = 1.0 / (rest - a)
+        proved = np.abs(x - p / q) < 0.5 / (q * max_n) - _PROOF_MARGIN
+    return p, q, proved
 
 
 def power_deviation(k: int, params: CoinParams, n: int) -> float:
@@ -95,7 +123,10 @@ class RevivalCertificate:
     exact: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(sorted(set(self.generators))))
+        # exact order: rounding is monotone, and equal floats compare the fractions
+        keyed = sorted((f.numerator / f.denominator, f) for f in self.generators)
+        unique = (f for i, (_, f) in enumerate(keyed) if i == 0 or keyed[i - 1] != keyed[i])
+        object.__setattr__(self, "generators", tuple(unique))
         if self.N < 1:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.exact and not self.max_deviation < CERTIFICATION_TOL:
@@ -129,13 +160,19 @@ def revival_period(
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    fractions = []
-    for value in full_spectrum(k, params):
-        fraction = reconstruct_fraction(float(np.angle(value)), max_den=max_n)
+    phases = np.angle(full_spectrum(k, params))
+    x = phases / TWO_PI % 1.0  # as reconstruct_fraction reduces each phase
+    p, q, proved = _proved_fractions(x, max_n)
+    p, q = p[proved].astype(np.int64), q[proved].astype(np.int64)
+    if not (np.abs(x[proved] - p / q) < PHASE_RECONSTRUCTION_TOL).all():
+        return None
+    pairs = set(zip((p % q).tolist(), q.tolist()))
+    for phase in phases[~proved].tolist():
+        fraction = reconstruct_fraction(phase, max_den=max_n)
         if fraction is None:
             return None
-        fractions.append(fraction)
-    n = math.lcm(*(f.denominator for f in fractions))
+        pairs.add(fraction.as_integer_ratio())
+    n = math.lcm(*{den for _, den in pairs})
     if n > max_n:
         return None
 
@@ -147,6 +184,6 @@ def revival_period(
         N=n,
         rho=params.rho,
         delta=params.delta,
-        generators=tuple(set(fractions)),
+        generators=tuple(Fraction(num, den) for num, den in pairs),
         max_deviation=deviation,
     )

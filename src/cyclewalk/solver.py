@@ -196,17 +196,17 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         raise ValueError(f"delta fraction must lie strictly in (0, 1), got {uv}")
     if edge not in (0, 1):
         raise ValueError(f"edge must be 0 or 1, got {edge}")
-    v = uv.denominator
+    u, v = uv.as_integer_ratio()
     if edge == 0:
         n = 2 * v
         generators = {_mod1(uv / 2), _mod1(uv / 2 + HALF)}
         tag = "rho0"
     else:
         n = math.lcm(2, k, v * k)
-        generators = set()
-        for l in range(k):
-            generators.add(_mod1(Fraction(-l, k)))
-            generators.add(_mod1(Fraction(l, k) + uv + HALF))
+        # -l/k and l/k + u/v + 1/2 (mod 1), the second over the denominator 2kv
+        turn = 2 * k * v
+        generators = [Fraction(j, k) for j in range(k)]
+        generators += [Fraction((2 * v * l + 2 * u * k + k * v) % turn, turn) for l in range(k)]
         tag = "rho1"
     return _verified(k, float(edge), uv, generators, n, tag)
 

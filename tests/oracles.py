@@ -1,8 +1,10 @@
 """Dense reference implementations that the tests check the Fourier-block engine against.
 
 None of this is on a production path: the dense 2k x 2k step matrix, the
-kron(F_k, F_2) conjugation that block-diagonalizes it, and the paper's scalar
-square-root formula for each block's eigenvalue pair.
+kron(F_k, F_2) conjugation that block-diagonalizes it, the paper's scalar
+square-root formula for each block's eigenvalue pair, and the per-phase
+reconstruction loop and Fraction-built rho=1 generators that the batched
+revival path must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -10,13 +12,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from cyclewalk.revival import CERTIFICATION_TOL, power_deviation, reconstruct_fraction
 from cyclewalk.spectral import (
     BLOCK_RESIDUAL_TOL,
     TWO_PI,
     BlockStructureError,
+    full_spectrum,
     principal_phase,
 )
 from cyclewalk.walk import CoinParams, WalkOperator
@@ -143,3 +148,33 @@ def phase_multiset_distance(a, b) -> float:
         worst = max(worst, gaps[best])
         b.pop(best)
     return worst
+
+
+def revival_period_per_phase(k: int, params: CoinParams, max_n: int):
+    """`revival_period` one phase at a time: (N, generators, deviation), or None.
+
+    Every eigenphase goes through `reconstruct_fraction`; the generators are
+    the sorted set of the reconstructed fractions.
+    """
+    fractions = []
+    for value in full_spectrum(k, params):
+        fraction = reconstruct_fraction(float(np.angle(value)), max_den=max_n)
+        if fraction is None:
+            return None
+        fractions.append(fraction)
+    n = math.lcm(*(f.denominator for f in fractions))
+    if n > max_n:
+        return None
+    deviation = power_deviation(k, params, n)
+    if not deviation < CERTIFICATION_TOL:
+        return None
+    return n, tuple(sorted(set(fractions))), deviation
+
+
+def rho_one_generators(k: int, uv: Fraction) -> set[Fraction]:
+    """The rho=1 eigenphases -l/k and l/k + u/v + 1/2 (mod 1), by Fraction arithmetic."""
+    generators = set()
+    for l in range(k):
+        generators.add(Fraction(-l, k) % 1)
+        generators.add((Fraction(l, k) + uv + Fraction(1, 2)) % 1)
+    return generators

@@ -1,9 +1,13 @@
 """Command-line surface: flags, output formats, exit codes, JSON round trips."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ import pytest
 from cyclewalk.cli import certificate_from_json, certificate_to_json, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +323,27 @@ class TestInputContract:
             ["solve", "--k", "5", "--case", "rho-edge", "--rho", "0", "--delta-frac", "5/4"],
             ["solve", "--k", "7", "--case", "approx", "--rho", "0.5", "--delta-frac", "7/4",
              "--epsilon", "0.01"],
+            ["verify", "--table", "1", "--tol", "nan"],
+            ["verify", "--table", "1", "--tol", "0"],
+            *(
+                ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--n", "8", "--tol", tol]
+                for tol in ("nan", "0", "-1", "inf")
+            ),
+            ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "0/1", "--period", "5",
+             "--tol", "nan"],
+            ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "0/1", "--period", "5",
+             "--tol", "0"],
+            ["solve", "--case", "k3", "--delta-frac", "abc"],
+            ["solve", "--case", "k3", "--seed", "1/0", "--delta-frac", "0/1"],
+            ["solve", "--k", "7", "--case", "approx", "--rho", "abc", "--delta-frac", "0/1",
+             "--epsilon", "0.01"],
+            *(
+                ["solve", "--k", "7", "--case", "approx", "--rho", "0.5", "--delta-frac", "0/1",
+                 "--epsilon", eps]
+                for eps in ("0", "-1", "inf", "nan")
+            ),
+            ["solve", "--k", "7", "--case", "approx", "--rho", "0.5", "--delta-rad", "nan",
+             "--epsilon", "0.01"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -334,3 +360,43 @@ class TestInputContract:
         )
         assert code == 2 and '"pass"' not in out
         assert "--n" in err
+
+
+class TestOneParser:
+    MIXED = (
+        ["verify", "--table", "1"],
+        ["verify", "--k", "8", "--rho", "1/2", "--delta-frac", "0/1", "--n", "24"],
+        ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-den", "12"],
+        ["simulate", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--steps", "2"],
+        ["verify", "--k", "7", "--rho", "1/2", "--delta-frac", "0/1", "--n", "10"],
+    )
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "__init__",
+            lambda self, *a, **kw: builds.append(1) or init(self, *a, **kw),
+        )
+        run_cli(capsys, *self.MIXED[1])
+        first = len(builds)  # 0 when an earlier test already built it
+        for argv in self.MIXED:
+            run_cli(capsys, *argv)
+        assert len(builds) == first
+
+    def test_mixed_calls_match_fresh_processes(self, capsys):
+        # no argparse state may leak from one call into the next
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        fresh = [
+            subprocess.Popen(
+                [sys.executable, "-m", "cyclewalk.cli", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            )
+            for argv in self.MIXED
+        ]
+        for argv, proc in zip(self.MIXED, fresh):
+            out, _ = proc.communicate(timeout=120)
+            code, got, _ = run_cli(capsys, *argv)
+            assert (code, got) == (proc.returncode, out), argv
