@@ -250,7 +250,9 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
         delta = dtp if dtp is not None else args.delta_rad
         _require(delta is not None, "approx needs --delta-frac or --delta-rad")
         _require(math.isfinite(delta), f"--delta-rad must be finite, got {delta}")
-        cert = solve_approximate(args.k, parse_value(args.rho), delta, args.epsilon)
+        rho = parse_value(args.rho)
+        _require(0 < rho < 1, f"--rho must lie strictly in (0, 1), got {rho}")
+        cert = solve_approximate(args.k, rho, delta, args.epsilon)
         if cert is None:
             raise CliError(
                 1, "no fraction set within epsilon at the denominator/period caps"

@@ -13,8 +13,10 @@ and every seed of its companion class (`companion_fractions`) gives the same
 weight.  A full revival needs one class per form, all at one rho in (0, 1):
 `enumerate_seeded` scans the classes of the seeds up to a denominator bound,
 keeps every class for one form and joins the two weight lists for two, adds
-the degenerate blocks' constant fractions, takes N as the LCM of all
-denominators and certifies each candidate by powering the operator.
+the degenerate blocks' constant fractions and takes N as the LCM of all
+denominators, all in integers (seed p/q at d = u/v is in the class
+min(t, qv - t)/(qv), t = (2pv - uq) mod qv).  All candidates of one (k, d)
+are certified in one batched `power_deviations` call per cycle.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .revival import (
     UNDEFINED_DENOMINATOR_TOL,
     RevivalCertificate,
     power_deviation,
+    power_deviations,
     reconstruct_fraction,
 )
 from .spectral import full_spectrum
@@ -43,7 +46,6 @@ __all__ = [
     "companion_fractions",
     "constant_block_fractions",
     "enumerate_seeded",
-    "reduced_fractions",
     "solve_approximate",
     "solve_rho_edge",
     "solve_seeded",
@@ -116,6 +118,11 @@ def weight_forms(
     return {Fraction(x, turn): tuple(forms[x]) for x in sorted(forms)}, tuple(degenerate)
 
 
+def _weight(num: int, den: int, form_den: float) -> float:
+    """`weight` at 2*seed - d = num/den (int division rounds as float(Fraction) does)."""
+    return (1.0 - math.cos(TWO_PI * (num / den))) / form_den
+
+
 def weight(seed: Fraction, delta_two_pi: Fraction, x: Fraction) -> float:
     """Coin weight rho = (1 - cos 2*pi*(2*seed - d)) / (1 - cos 2*pi*x).
 
@@ -123,23 +130,21 @@ def weight(seed: Fraction, delta_two_pi: Fraction, x: Fraction) -> float:
     eigenvalue +-exp(2*pi*i*seed).  The result may fall outside [0, 1];
     it lies in (0, 1) iff 0 < min(y, 1 - y) < x for y = (2*seed - d) mod 1.
     """
-    numerator = 1.0 - math.cos(TWO_PI * float(2 * Fraction(seed) - Fraction(delta_two_pi)))
-    return numerator / (1.0 - math.cos(TWO_PI * float(x)))
+    y = (2 * Fraction(seed) - Fraction(delta_two_pi)).as_integer_ratio()
+    return _weight(*y, 1.0 - math.cos(TWO_PI * float(x)))
+
+
+def _companion_pairs(p: int, q: int, u: int, v: int) -> list[tuple[int, int]]:
+    """s, s + 1/2, d - s, d - s + 1/2 (mod 1) for s = p/q, d = u/v, as reduced (num, den)."""
+    turn, half, seed, delta = 2 * q * v, q * v, 2 * p * v, 2 * u * q
+    nums = [num % turn for num in (seed, seed + half, delta - seed, delta - seed + half)]
+    return [(num // math.gcd(num, turn), turn // math.gcd(num, turn)) for num in nums]
 
 
 def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fraction]:
     """All x in [0, 1) with cos(4*pi*x - delta) == cos(4*pi*seed - delta), exactly."""
-    seed = Fraction(seed)
-    delta_two_pi = Fraction(delta_two_pi)
-    return frozenset(
-        _mod1(x)
-        for x in (
-            seed,
-            seed + HALF,
-            delta_two_pi - seed,
-            delta_two_pi - seed + HALF,
-        )
-    )
+    ratios = Fraction(seed).as_integer_ratio() + Fraction(delta_two_pi).as_integer_ratio()
+    return frozenset(Fraction(*pair) for pair in _companion_pairs(*ratios))
 
 
 def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
@@ -148,40 +153,16 @@ def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
     return frozenset((base, _mod1(base + HALF)))
 
 
-def reduced_fractions(max_den: int) -> list[Fraction]:
-    """All reduced fractions in (0, 1) with denominator <= max_den."""
-    out = []
-    for q in range(2, max_den + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                out.append(Fraction(p, q))
-    return out
-
-
-def _verified(
-    k: int,
-    rho: float,
-    delta_two_pi: Fraction,
-    generators,
-    n: int,
-    case_tag: str,
-    also_k: tuple[int, ...] = (),
-) -> RevivalCertificate:
-    delta = TWO_PI * float(delta_two_pi)
-    params = CoinParams.from_delta(rho, delta)
-    deviation = power_deviation(k, params, n)
-    for other in also_k:
-        deviation = max(deviation, power_deviation(other, params, n))
-    return RevivalCertificate(
-        k=k,
-        N=n,
-        rho=float(rho),
-        delta=delta,
-        generators=tuple(generators),
-        max_deviation=deviation,
-        case_tag=case_tag,
-        delta_two_pi=delta_two_pi,
-    )
+def _certified(k, dtp, tag, candidates, also_k=()) -> list[RevivalCertificate]:
+    """Certificates of (rho, N, generators) candidates: one engine batch per cycle k, *also_k."""
+    delta = TWO_PI * float(dtp)
+    rhos, ns = [c[0] for c in candidates], [c[1] for c in candidates]
+    deviations = np.max([power_deviations(c, rhos, delta, delta, ns) for c in (k, *also_k)], 0)
+    return [
+        RevivalCertificate(k=k, N=n, rho=rho, delta=delta, generators=generators,
+                           max_deviation=deviation, case_tag=tag, delta_two_pi=dtp)
+        for (rho, n, generators), deviation in zip(candidates, deviations.tolist())
+    ]
 
 
 def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
@@ -208,33 +189,36 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         generators = [Fraction(j, k) for j in range(k)]
         generators += [Fraction((2 * v * l + 2 * u * k + k * v) % turn, turn) for l in range(k)]
         tag = "rho1"
-    return _verified(k, float(edge), uv, generators, n, tag)
+    return _certified(k, uv, tag, [(float(edge), n, generators)])[0]
 
 
 def _search_plan(k: int, dtp: Fraction):
     """(form points, degenerate-block fractions, case tag) of a seed search."""
+    if not 0 <= dtp < 1:
+        raise ValueError(f"delta fraction must lie in [0, 1), got {dtp}")
     forms, degenerate = weight_forms(k, dtp)
     if not 1 <= len(forms) <= 2:
         raise ValueError(
             f"k={k} at delta={dtp}*2*pi has {len(forms)} weight forms; "
             "seed searches need one or two"
         )
-    constants: set[Fraction] = set()
-    for l in degenerate:
-        constants |= constant_block_fractions(k, l)
+    constants = {f for l in degenerate for f in constant_block_fractions(k, l)}
     tag = _SINGLE_FORM_TAGS[k] if len(forms) == 1 else "two_form"
-    return tuple(forms), constants, tag
+    return tuple(forms), tuple(constants), tag
 
 
-def _certify(k, dtp, rho, seeds, constants, tag, max_n=None):
-    """Complete the seeds' companion classes and certify; None above max_n."""
-    generators = set(constants)
-    for seed in seeds:
-        generators |= companion_fractions(seed, dtp)
-    n = math.lcm(*(f.denominator for f in generators))
-    if max_n is not None and n > max_n:
-        return None
-    return _verified(k, rho, dtp, generators, n, tag, _ALSO_VERIFIED.get(k, ()))
+def _candidates(dtp, constants, matches, max_n=None):
+    """(rho, N, generators) per (rho, seeds (p, q)) match; N an integer LCM, none above max_n."""
+    u, v = dtp.as_integer_ratio()
+    base = math.lcm(*(f.denominator for f in constants))
+    out = []
+    for rho, seeds in matches:
+        pairs = {pair for p, q in seeds for pair in _companion_pairs(p, q, u, v)}
+        n = math.lcm(base, *(den for _, den in pairs))
+        if max_n is None or n <= max_n:
+            # Fractions only for kept candidates; RevivalCertificate drops one equal to a constant
+            out.append((rho, n, constants + tuple(Fraction(*pair) for pair in pairs)))
+    return out
 
 
 def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
@@ -258,7 +242,8 @@ def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCerti
             f"seed {seed} with delta={dtp}*2*pi gives rho={rho!r}, "
             "outside the open interval (0, 1)"
         )
-    return _certify(k, dtp, rho, (seed,), constants, tag)
+    candidates = _candidates(dtp, constants, [(rho, (seed.as_integer_ratio(),))])
+    return _certified(k, dtp, tag, candidates, _ALSO_VERIFIED.get(k, ()))[0]
 
 
 def enumerate_seeded(
@@ -278,29 +263,37 @@ def enumerate_seeded(
     """
     dtp = Fraction(delta_two_pi)
     xs, constants, tag = _search_plan(k, dtp)
-    classes: dict[Fraction, Fraction] = {}
-    for seed in reduced_fractions(max_den):
-        classes.setdefault(_canonical(2 * seed - dtp), seed)
-    sides = [
-        sorted((weight(seed, dtp, x), seed) for y, seed in classes.items() if 0 < y < x)
-        for x in xs
-    ]
+    u, v = dtp.as_integer_ratio()
+    classes: dict[tuple[int, int], tuple[int, int]] = {}
+    for q in range(2, max_den + 1):
+        turn = q * v
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                t = min((2 * p * v - u * q) % turn, (u * q - 2 * p * v) % turn)
+                g = math.gcd(t, turn)
+                classes.setdefault((t // g, turn // g), (p, q))
+    sides = []
+    for x in xs:
+        form_den = 1.0 - math.cos(TWO_PI * float(x))
+        # (rho, seed value, p, q): ties in rho go to the smaller seed
+        sides.append(sorted(
+            (_weight(2 * p * v - u * q, q * v, form_den), p / q, p, q)
+            for (num, den), (p, q) in classes.items()
+            if 0 < num and num * x.denominator < x.numerator * den
+        ))
     if len(sides) == 1:
-        matches = [(rho, (seed,)) for rho, seed in sides[0]]
+        matches = [(rho, ((p, q),)) for rho, _, p, q in sides[0]]
     else:
         first, second = sides
-        second_rhos = [rho for rho, _ in second]
+        second_rhos = [rho for rho, *_ in second]
         matches = []
-        for rho, seed in first:
+        for rho, _, p, q in first:
             i = bisect.bisect_left(second_rhos, rho - TWO_FORM_MATCH_TOL)
             while i < len(second) and second[i][0] <= rho + TWO_FORM_MATCH_TOL:
-                matches.append((rho, (seed, second[i][1])))
+                matches.append((rho, ((p, q), second[i][2:])))
                 i += 1
-    certificates = [
-        cert
-        for rho, seeds in matches
-        if (cert := _certify(k, dtp, rho, seeds, constants, tag, max_n)) is not None
-    ]
+    candidates = _candidates(dtp, constants, matches, max_n)
+    certificates = _certified(k, dtp, tag, candidates, _ALSO_VERIFIED.get(k, ()))
     certificates.sort(key=lambda c: (c.N, c.rho))
     return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
 

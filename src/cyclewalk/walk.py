@@ -14,7 +14,6 @@ single step can also be taken in position space in O(k).  The dense
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +37,7 @@ TWO_PI = 2.0 * math.pi
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,11 @@ class WalkOperator:
     params: CoinParams
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"cycle length must be at least 2, got {self.k}")
-        coin = build_coin(self.params)
-        # row 0 of V_l is w^l (C_00, C_01) exp(-i*phi); row 1 follows from the SU(2) form
-        w = np.exp(2j * math.pi / self.k * np.arange(self.k) - 0.5j * (self.params.delta + math.pi))
-        x, y = w * coin[0, 0], w * coin[0, 1]
-        sin_t = np.hypot(x.imag, np.abs(y))
-        deviation = np.abs(np.hypot(x.real, sin_t) - 1.0).max()
-        if deviation > UNITARY_TOL:
-            raise ValueError(f"blocks are not unitary (max deviation {deviation:.3e})")
+        params = self.params
+        object.__setattr__(self, "su2", su2_form(self.k, params.rho, params.alpha, params.delta))
+        coin = build_coin(params)
         coin.setflags(write=False)
         object.__setattr__(self, "coin", coin)
-        object.__setattr__(self, "su2", (x, y, sin_t, np.arctan2(sin_t, x.real)))
 
     @cached_property
     def symbols(self) -> np.ndarray:
@@ -142,21 +134,7 @@ class WalkOperator:
 
     def power(self, n: int) -> np.ndarray:
         """Symbols of U^n, (k, 2, 2), in O(k) for any n and on the unit circle for large n."""
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"power must be nonnegative, got {n}")
-        x, y, sin_t, theta = self.su2
-        g = np.divide(np.sin(n * theta), sin_t, out=np.zeros(self.k), where=sin_t > 0)
-        diag = np.cos(n * theta) + 1j * (g * x.imag)
-        off = g * y
-        blocks = np.empty((self.k, 2, 2), dtype=np.complex128)
-        blocks[:, 0, 0] = diag
-        blocks[:, 0, 1] = off
-        blocks[:, 1, 0] = -off.conj()
-        blocks[:, 1, 1] = diag.conj()
-        # exp(i*n*phi) = i^n exp(i*n*delta/2), with i^n exact
-        blocks *= (1, 1j, -1, -1j)[n % 4] * cmath.exp(0.5j * self.params.delta * n)
-        return blocks
+        return su2_power(self.su2, self.params.delta, int(n))
 
     @cached_property
     def _sources(self) -> np.ndarray:
@@ -167,6 +145,41 @@ class WalkOperator:
     def step(self, amplitudes) -> np.ndarray:
         """Coin then shift in O(k); exact zeros stay exact, which an FFT round trip breaks."""
         return (np.reshape(amplitudes, (self.k, 2)) @ self.coin.T).reshape(-1)[self._sources]
+
+
+def su2_form(k: int, rho, alpha: float, delta: float):
+    """(x, y, sin_theta, theta) of the blocks V_l (see `WalkOperator`), shape rho.shape + (k,),
+    for weights rho that share alpha and delta.  Raises on blocks off unitarity by UNITARY_TOL."""
+    if k < 2:
+        raise ValueError(f"cycle length must be at least 2, got {k}")
+    rho = np.asarray(rho, dtype=float)[..., None]
+    # row 0 of V_l is w^l (C_00, C_01) exp(-i*phi); row 1 follows from the SU(2) form
+    w = np.exp(2j * math.pi / k * np.arange(k) - 0.5j * (delta + math.pi))
+    x, y = w * np.sqrt(rho), w * (np.sqrt(1.0 - rho) * np.exp(1j * alpha))
+    sin_t = np.hypot(x.imag, np.abs(y))
+    deviation = np.abs(np.hypot(x.real, sin_t) - 1.0).max()
+    if deviation > UNITARY_TOL:
+        raise ValueError(f"blocks are not unitary (max deviation {deviation:.3e})")
+    return x, y, sin_t, np.arctan2(sin_t, x.real)
+
+
+def su2_power(su2, delta: float, n) -> np.ndarray:
+    """Blocks A_l^n = exp(i*n*phi) V_l^n from `su2_form` parts and one power per coin."""
+    x, y, sin_t, theta = su2
+    n_float = np.asarray(n, dtype=float)
+    if n_float.min() < 0:
+        raise ValueError(f"power must be nonnegative, got {n_float.min():g}")
+    angle = n_float[..., None] * theta
+    g = np.divide(np.sin(angle), sin_t, out=np.zeros(angle.shape), where=sin_t > 0)
+    diag = np.cos(angle) + 1j * (g * x.imag)
+    off = g * y
+    blocks = np.empty(angle.shape + (2, 2), dtype=np.complex128)
+    blocks[..., 0, 0], blocks[..., 0, 1] = diag, off
+    blocks[..., 1, 0], blocks[..., 1, 1] = -off.conj(), diag.conj()
+    # exp(i*n*phi) = i^n exp(i*n*delta/2), with i^n exact
+    quarter = _QUARTER_TURNS[np.asarray(n % 4, dtype=np.intp)]
+    blocks *= (quarter * np.exp(0.5j * delta * n_float))[..., None, None, None]
+    return blocks
 
 
 def build_walk_operator(k: int, params: CoinParams) -> WalkOperator:

@@ -4,11 +4,13 @@ None of this is on a production path: the dense 2k x 2k step matrix, the
 kron(F_k, F_2) conjugation that block-diagonalizes it, the paper's scalar
 square-root formula for each block's eigenvalue pair, and the per-phase
 reconstruction loop and Fraction-built rho=1 generators that the batched
-revival path must reproduce exactly.
+revival path must reproduce exactly, and the per-candidate Fraction seed
+search that the integer scan and batched certification must reproduce.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -16,7 +18,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from cyclewalk.revival import CERTIFICATION_TOL, power_deviation, reconstruct_fraction
+from cyclewalk.revival import (
+    CERTIFICATION_TOL,
+    RevivalCertificate,
+    power_deviation,
+    reconstruct_fraction,
+)
+from cyclewalk.solver import (
+    _ALSO_VERIFIED,
+    TWO_FORM_MATCH_TOL,
+    SolutionFamily,
+    _canonical,
+    _search_plan,
+    companion_fractions,
+    weight,
+)
 from cyclewalk.spectral import (
     BLOCK_RESIDUAL_TOL,
     TWO_PI,
@@ -178,3 +194,86 @@ def rho_one_generators(k: int, uv: Fraction) -> set[Fraction]:
         generators.add(Fraction(-l, k) % 1)
         generators.add((Fraction(l, k) + uv + Fraction(1, 2)) % 1)
     return generators
+
+
+def reduced_fractions(max_den: int) -> list[Fraction]:
+    """All reduced fractions in (0, 1) with denominator <= max_den."""
+    out = []
+    for q in range(2, max_den + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                out.append(Fraction(p, q))
+    return out
+
+
+def _verified(
+    k: int,
+    rho: float,
+    delta_two_pi: Fraction,
+    generators,
+    n: int,
+    case_tag: str,
+    also_k: tuple[int, ...] = (),
+) -> RevivalCertificate:
+    delta = TWO_PI * float(delta_two_pi)
+    params = CoinParams.from_delta(rho, delta)
+    deviation = power_deviation(k, params, n)
+    for other in also_k:
+        deviation = max(deviation, power_deviation(other, params, n))
+    return RevivalCertificate(
+        k=k,
+        N=n,
+        rho=float(rho),
+        delta=delta,
+        generators=tuple(generators),
+        max_deviation=deviation,
+        case_tag=case_tag,
+        delta_two_pi=delta_two_pi,
+    )
+
+
+def _certify(k, dtp, rho, seeds, constants, tag, max_n=None):
+    """Complete the seeds' companion classes and certify; None above max_n."""
+    generators = set(constants)
+    for seed in seeds:
+        generators |= companion_fractions(seed, dtp)
+    n = math.lcm(*(f.denominator for f in generators))
+    if max_n is not None and n > max_n:
+        return None
+    return _verified(k, rho, dtp, generators, n, tag, _ALSO_VERIFIED.get(k, ()))
+
+
+def enumerate_seeded_per_candidate(
+    k: int,
+    delta_two_pi: Fraction,
+    max_den: int,
+    max_n: int | None = None,
+) -> SolutionFamily:
+    """The seed search in Fraction arithmetic, certifying one candidate at a time."""
+    dtp = Fraction(delta_two_pi)
+    xs, constants, tag = _search_plan(k, dtp)
+    classes: dict[Fraction, Fraction] = {}
+    for seed in reduced_fractions(max_den):
+        classes.setdefault(_canonical(2 * seed - dtp), seed)
+    sides = [
+        sorted((weight(seed, dtp, x), seed) for y, seed in classes.items() if 0 < y < x)
+        for x in xs
+    ]
+    if len(sides) == 1:
+        matches = [(rho, (seed,)) for rho, seed in sides[0]]
+    else:
+        first, second = sides
+        second_rhos = [rho for rho, _ in second]
+        matches = []
+        for rho, seed in first:
+            i = bisect.bisect_left(second_rhos, rho - TWO_FORM_MATCH_TOL)
+            while i < len(second) and second[i][0] <= rho + TWO_FORM_MATCH_TOL:
+                matches.append((rho, (seed, second[i][1])))
+                i += 1
+    certificates = [
+        cert
+        for rho, seeds in matches
+        if (cert := _certify(k, dtp, rho, seeds, constants, tag, max_n)) is not None
+    ]
+    certificates.sort(key=lambda c: (c.N, c.rho))
+    return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))

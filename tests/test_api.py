@@ -22,6 +22,7 @@ MOVED_TO_ORACLES = (
     "block_diagonalize",
     "phase_multiset_distance",
     "eigenvalues_closed_form",
+    "reduced_fractions",
 )
 
 

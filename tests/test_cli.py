@@ -344,6 +344,11 @@ class TestInputContract:
             ),
             ["solve", "--k", "7", "--case", "approx", "--rho", "0.5", "--delta-rad", "nan",
              "--epsilon", "0.01"],
+            *(
+                ["solve", "--k", "2", "--case", "approx", "--rho", rho, "--delta-frac", "0/1",
+                 "--epsilon", "0.05"]
+                for rho in ("2", "0", "-1", "nan")
+            ),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -1,7 +1,9 @@
 """The Fourier-block engine against the dense 2k x 2k oracle.
 
 Certification and evolution run on the k 2x2 Fourier symbols of the step
-operator; the dense matrix is built here only to check them.
+operator; the dense matrix is built here only to check them.  A batch of
+coins of one cycle goes through the engine in one pass, which must agree
+with each coin's batch of one.
 """
 
 import math
@@ -20,6 +22,7 @@ from cyclewalk import (
     evolve,
     power_deviation,
 )
+from cyclewalk.revival import power_deviations
 from oracles import walk_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -147,3 +150,59 @@ def test_no_dense_matrix_on_the_certification_path():
         tracemalloc.stop()
     assert deviation < 1e-9
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+batch_rows = st.lists(
+    st.tuples(weights, st.one_of(st.sampled_from([0, 1]), st.integers(2, 3000))),
+    min_size=1,
+    max_size=16,
+)
+
+
+@example(k=8, delta=0.0, rows=[(1.0, 0), (1.0, 24), (0.0, 1), (0.5, 7)])
+@example(k=12, delta=0.0, rows=[(1.0, 12), (0.0, 2), (1.0, 7)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=cycle_lengths, delta=deltas, rows=batch_rows)
+def test_batch_matches_each_row_alone(k, delta, rows):
+    rhos, ns = zip(*rows)
+    batched = power_deviations(k, rhos, delta, delta, ns)
+    assert batched.shape == (len(rows),)
+    for (rho, n), deviation in zip(rows, batched):
+        alone = power_deviation(k, CoinParams.from_delta(rho, delta), n)
+        assert abs(deviation - alone) < 1e-13 * max(1, n)
+
+
+@pytest.mark.parametrize(
+    "k, rows, false_row",
+    [
+        # rho=0 revives at N=2v, rho=1 at lcm(2, k, v*k); v=3 here, so N=3 is odd
+        (7, [(0.0, 6), (1.0, 42), (0.0, 3), (0.0, 12), (1.0, 84)], 2),
+        # delta=0: v=1; the Hadamard coin does not revive at k=512
+        (512, [(0.0, 2), (1.0, 512), (0.5, 1000), (0.0, 4)], 2),
+    ],
+)
+def test_batch_flags_only_the_false_row(k, rows, false_row):
+    delta = TWO_PI / 3 if k == 7 else 0.0
+    rhos, ns = zip(*rows)
+    deviations = power_deviations(k, rhos, delta, delta, ns)
+    assert deviations[false_row] >= 1e-9
+    assert (np.delete(deviations, false_row) < 1e-9).all()
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, -math.inf])
+def test_batch_rejects_weights_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError):
+        power_deviations(5, [0.5, bad, 0.25], 0.0, 0.0, [3, 4, 5])
+
+
+def test_batch_memory_is_bounded_in_its_size():
+    rng = np.random.default_rng(6)
+    rhos, ns = rng.uniform(0.0, 1.0, 20000), rng.integers(0, 3000, 20000)
+    tracemalloc.start()
+    try:
+        deviations = power_deviations(6, rhos, 1.0, 1.0, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviations.shape == (20000,)
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"

@@ -15,9 +15,11 @@ from cyclewalk import (
     solve_seeded,
     weight_forms,
 )
-from cyclewalk.solver import companion_fractions, constant_block_fractions, reduced_fractions
+from cyclewalk import revival, walk
+from cyclewalk.solver import companion_fractions, constant_block_fractions
 from cyclewalk.spectral import principal_phase
 from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
+from oracles import enumerate_seeded_per_candidate, reduced_fractions
 
 RNG = np.random.default_rng(424242)
 
@@ -314,6 +316,52 @@ class TestEnumerate:
     def test_max_n_applies_to_two_forms(self):
         assert enumerate_seeded(5, Fraction(0), max_den=20, max_n=10).solutions == ()
         assert len(enumerate_seeded(5, Fraction(0), max_den=20, max_n=60).solutions) == 2
+
+
+# the (k, delta/(2*pi)) searches of the paper_search benchmark workload
+PAPER_SEARCHES = [
+    *((k, Fraction(d)) for k in (3, 6) for d in ("0", "1/3", "2/3")),
+    *((4, Fraction(d)) for d in ("0", "1/2", "1/4", "3/4")),
+    *((2, Fraction(d)) for d in ("1/3", "2/3", "1/4", "3/4", "2/5", "3/5")),
+    *((k, Fraction(t, 5)) for k in (5, 10) for t in range(5)),
+    *((8, Fraction(t, 4)) for t in range(4)),
+]
+
+
+@pytest.mark.parametrize("k, dtp", PAPER_SEARCHES, ids=str)
+def test_integer_scan_matches_the_fraction_search(k, dtp):
+    max_den = 24
+    max_n = 2 * max_den if k == 4 else None
+    new = enumerate_seeded(k, dtp, max_den, max_n)
+    old = enumerate_seeded_per_candidate(k, dtp, max_den, max_n)
+    assert new.case_tag == old.case_tag
+    assert [(c.N, c.generators, c.case_tag) for c in new.solutions] == [
+        (c.N, c.generators, c.case_tag) for c in old.solutions
+    ]
+    for a, b in zip(new.solutions, old.solutions):
+        assert a.rho == b.rho
+        assert abs(a.max_deviation - b.max_deviation) < 1e-13 * a.N
+
+
+def test_search_certifies_in_one_pass_per_cycle(monkeypatch):
+    built, passes = [], []
+    post_init = walk.WalkOperator.__post_init__
+    su2_form = revival.su2_form
+
+    def counted_post_init(op):
+        built.append(op.k)
+        post_init(op)
+
+    def counted_su2_form(k, rho, alpha, delta):
+        passes.append((k, len(rho)))
+        return su2_form(k, rho, alpha, delta)
+
+    monkeypatch.setattr(walk.WalkOperator, "__post_init__", counted_post_init)
+    monkeypatch.setattr(revival, "su2_form", counted_su2_form)
+    family = enumerate_seeded(3, Fraction(0), 48)
+    assert built == []
+    # k=3 certificates are checked on the k=6 cycle as well, each in one pass
+    assert passes == [(3, len(family.solutions)), (6, len(family.solutions))]
 
 
 # two-form cases of k=3, 4, 6 and 8 without a solution at denominators <= 30

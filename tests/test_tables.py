@@ -1,10 +1,11 @@
 """Fixture integrity and full verification of the published tables."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from cyclewalk import parse_value, verify_table
+from cyclewalk import CoinParams, parse_value, power_deviation, verify_table
 from cyclewalk.tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -19,6 +20,21 @@ from cyclewalk.tables import (
 def test_table_verifies(table):
     report = verify_table(table)
     assert report.all_pass, report.failures
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
+def test_batched_rows_match_the_scalar_deviation(table):
+    # the checks come in row order, each (k, delta) of a row in turn
+    rows = (TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS, TABLE4_ROWS, TABLE5_ROWS)[table - 1]
+    report = verify_table(table)
+    assert [(c.k, c.n, c.rho, c.delta_two_pi) for c in report.checks] == [
+        (k, row.n, row.rho, dtp) for row in rows for k in row.k_values for dtp in row.delta_two_pi
+    ]
+    for check in report.checks:
+        params = CoinParams.from_delta(check.rho, 2.0 * math.pi * float(check.delta_two_pi))
+        alone = power_deviation(check.k, params, check.n)
+        assert abs(check.deviation - alone) < 1e-13 * max(1, check.n), check
+        assert check.passed == (check.deviation < report.tolerance)
 
 
 def test_table3_checks_both_cycle_lengths():
