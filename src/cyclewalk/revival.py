@@ -38,8 +38,8 @@ PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
 
-#: Fourier blocks per engine pass in `power_deviations`, which bounds its memory
-_CHUNK_BLOCKS = 8192
+#: Fourier blocks per engine pass, in `power_deviations` and the seed searches; bounds memory
+_CHUNK_BLOCKS = 2048
 
 #: float-error allowance of the proof test in `_proved_fractions`: the test can
 #: pass only when q*max_n < 5e14 and |x - p/q| < 1/2, so p, q and q*max_n are
@@ -92,32 +92,33 @@ def _proved_fractions(x: np.ndarray, max_n: int):
     return p, q, proved
 
 
-def power_deviations(k: int, rho, alpha: float, delta: float, n) -> np.ndarray:
-    """Max-entry deviation from I of U^n[i] for the coins rho[i], alpha, beta = delta - alpha."""
-    rho, n = np.asarray(rho, dtype=float).reshape(-1), np.asarray(n).reshape(-1)
+def power_deviations(k: int, rho, delta: float, n) -> np.ndarray:
+    """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta)."""
+    rho, n = np.asarray(rho, dtype=float).reshape(-1, 1), np.asarray(n).reshape(-1, 1)
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
-    out = np.empty(rho.shape)
+    out = np.empty(len(rho))
     rows = max(1, _CHUNK_BLOCKS // k)
-    for i in range(0, rho.size, rows):
-        out[i : i + rows] = _deviation(k, rho[i : i + rows], alpha, delta, n[i : i + rows])
+    for i in range(0, len(rho), rows):
+        out[i : i + rows] = _deviation(k, rho[i : i + rows], delta, n[i : i + rows])
     return out
 
 
-def _deviation(k: int, rho, alpha: float, delta: float, n):
-    """One engine pass over weights and powers of one shape, () or (batch,).
+def _deviation(k: int, rho, delta: float, n):
+    """One engine pass over weights and powers of one shape, () or (batch, 1).
 
-    U^n - I is block circulant: its entries are those of its first block column, the
-    inverse FFT of the powered symbols minus I at offset 0, O(k log k) per coin.
-    """
-    column = np.fft.ifft(su2_power(su2_form(k, rho, alpha, delta), delta, n), axis=-3)
-    column[..., 0, :, :] -= np.eye(2)
-    return np.abs(column).max(axis=(-3, -2, -1))
+    U^n - I is block circulant: its entries are those of its first block column, the inverse
+    FFT of the powered symbols minus I at offset 0.  In the block form of `su2_power` those
+    are, up to unit factors and the order of offsets, the entries of ifft(diag - conj(phase)),
+    ifft(diag - phase) and ifft(off): O(k log k) per coin."""
+    diag, off, phase = su2_power(su2_form(k, rho, delta, delta), delta, n)
+    column = np.fft.ifft(np.array([diag - phase.conj(), diag - phase, off]))
+    return np.abs(column).max(axis=(0, -1))
 
 
 def power_deviation(k: int, params: CoinParams, n: int) -> float:
     """Max-entry deviation of U^n from the identity, in O(k log k): one coin, no batch axis."""
-    return float(_deviation(k, params.rho, params.alpha, params.delta, n))
+    return float(_deviation(k, params.rho, params.delta, n))
 
 
 @dataclass(frozen=True)

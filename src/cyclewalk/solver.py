@@ -15,13 +15,15 @@ weight.  A full revival needs one class per form, all at one rho in (0, 1):
 keeps every class for one form and joins the two weight lists for two, adds
 the degenerate blocks' constant fractions and takes N as the LCM of all
 denominators, all in integers (seed p/q at d = u/v is in the class
-min(t, qv - t)/(qv), t = (2pv - uq) mod qv).  All candidates of one (k, d)
-are certified in one batched `power_deviations` call per cycle.
+min(t, qv - t)/(qv), t = (2pv - uq) mod qv).  The candidates of one (k, d)
+are built lazily and certified a chunk at a time, one batched engine pass
+(`revival.power_deviations`) per cycle and chunk.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +33,10 @@ import numpy as np
 from .revival import (
     CERTIFICATION_TOL,
     UNDEFINED_DENOMINATOR_TOL,
+    _CHUNK_BLOCKS,
     RevivalCertificate,
+    _deviation,
     power_deviation,
-    power_deviations,
     reconstruct_fraction,
 )
 from .spectral import full_spectrum
@@ -80,16 +83,6 @@ class SolutionFamily:
         for cert in self.solutions:
             if cert.case_tag != self.case_tag or cert.k != self.k:
                 raise ValueError("certificate does not belong to this family")
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
-
-
-def _canonical(x: Fraction) -> Fraction:
-    """The point of [0, 1/2] with the same cos(2*pi*x)."""
-    x = x % 1
-    return min(x, 1 - x)
 
 
 def weight_forms(
@@ -149,20 +142,24 @@ def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fra
 
 def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
     """Eigenphase fractions {-l/k, -l/k + 1/2} (mod 1) of a degenerate block."""
-    base = _mod1(Fraction(-l, k))
-    return frozenset((base, _mod1(base + HALF)))
+    base = Fraction(-l, k) % 1
+    return frozenset((base, (base + HALF) % 1))
 
 
 def _certified(k, dtp, tag, candidates, also_k=()) -> list[RevivalCertificate]:
-    """Certificates of (rho, N, generators) candidates: one engine batch per cycle k, *also_k."""
-    delta = TWO_PI * float(dtp)
-    rhos, ns = [c[0] for c in candidates], [c[1] for c in candidates]
-    deviations = np.max([power_deviations(c, rhos, delta, delta, ns) for c in (k, *also_k)], 0)
-    return [
-        RevivalCertificate(k=k, N=n, rho=rho, delta=delta, generators=generators,
-                           max_deviation=deviation, case_tag=tag, delta_two_pi=dtp)
-        for (rho, n, generators), deviation in zip(candidates, deviations.tolist())
-    ]
+    """Certificates of (rho, N, generators) candidates: one engine pass per chunk and cycle."""
+    delta, out = TWO_PI * float(dtp), []
+    rows = max(1, _CHUNK_BLOCKS // max((k, *also_k)))
+    candidates = iter(candidates)
+    while chunk := list(itertools.islice(candidates, rows)):
+        rho, n = (np.array([c[i] for c in chunk])[:, None] for i in (0, 1))
+        deviations = np.max([_deviation(c, rho, delta, n) for c in (k, *also_k)], 0)
+        out += [
+            RevivalCertificate(k=k, N=n, rho=rho, delta=delta, generators=generators,
+                               max_deviation=deviation, case_tag=tag, delta_two_pi=dtp)
+            for (rho, n, generators), deviation in zip(chunk, deviations.tolist())
+        ]
+    return out
 
 
 def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
@@ -180,7 +177,7 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
     u, v = uv.as_integer_ratio()
     if edge == 0:
         n = 2 * v
-        generators = {_mod1(uv / 2), _mod1(uv / 2 + HALF)}
+        generators = {uv / 2, uv / 2 + HALF}
         tag = "rho0"
     else:
         n = math.lcm(2, k, v * k)
@@ -208,17 +205,15 @@ def _search_plan(k: int, dtp: Fraction):
 
 
 def _candidates(dtp, constants, matches, max_n=None):
-    """(rho, N, generators) per (rho, seeds (p, q)) match; N an integer LCM, none above max_n."""
+    """Lazily, (rho, N, generators) per (rho, seeds (p, q)) match; N an integer LCM <= max_n."""
     u, v = dtp.as_integer_ratio()
     base = math.lcm(*(f.denominator for f in constants))
-    out = []
     for rho, seeds in matches:
         pairs = {pair for p, q in seeds for pair in _companion_pairs(p, q, u, v)}
         n = math.lcm(base, *(den for _, den in pairs))
         if max_n is None or n <= max_n:
             # Fractions only for kept candidates; RevivalCertificate drops one equal to a constant
-            out.append((rho, n, constants + tuple(Fraction(*pair) for pair in pairs)))
-    return out
+            yield rho, n, constants + tuple(Fraction(*pair) for pair in pairs)
 
 
 def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
@@ -236,8 +231,8 @@ def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCerti
         raise ValueError(
             f"k={k} at delta={dtp}*2*pi has two weight forms; one seed cannot fill both"
         )
-    rho = weight(seed, dtp, xs[0])
-    if not 0 < _canonical(2 * seed - dtp) < xs[0]:
+    rho, y = weight(seed, dtp, xs[0]), (2 * seed - dtp) % 1
+    if not 0 < min(y, 1 - y) < xs[0]:
         raise ValueError(
             f"seed {seed} with delta={dtp}*2*pi gives rho={rho!r}, "
             "outside the open interval (0, 1)"
@@ -282,7 +277,7 @@ def enumerate_seeded(
             if 0 < num and num * x.denominator < x.numerator * den
         ))
     if len(sides) == 1:
-        matches = [(rho, ((p, q),)) for rho, _, p, q in sides[0]]
+        matches = ((rho, ((p, q),)) for rho, _, p, q in sides[0])
     else:
         first, second = sides
         second_rhos = [rho for rho, *_ in second]
@@ -361,7 +356,7 @@ def solve_approximate(
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if isinstance(delta, Fraction):
-        dtp = _mod1(delta)
+        dtp = delta % 1
     else:
         # floats that are exact rational turns (e.g. 0.0) still get the
         # exact companion treatment

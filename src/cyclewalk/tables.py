@@ -609,20 +609,19 @@ def verify_table(table: int, tol: float = CERTIFICATION_TOL) -> TableReport:
     combos = [
         (row, k, dtp) for row in _TABLES[table] for k in row.k_values for dtp in row.delta_two_pi
     ]
-    batches: dict[tuple[int, Fraction], list[TableRow]] = {}
-    for row, k, dtp in combos:
-        batches.setdefault((k, dtp), []).append(row)
-    # one engine batch per (k, delta), read back in the rows' order
-    deviations = {}
-    for (k, dtp), rows in batches.items():
-        delta = TWO_PI * float(dtp)
+    groups: dict[tuple[int, Fraction], list[int]] = {}
+    for i, (_, k, dtp) in enumerate(combos):
+        groups.setdefault((k, dtp), []).append(i)
+    # one engine batch per (k, delta), scattered back to the rows' order
+    deviations = [0.0] * len(combos)
+    for (k, dtp), idx in groups.items():
+        rows = [combos[i][0] for i in idx]
         rhos, ns = [r.rho for r in rows], [r.n for r in rows]
-        deviations[k, dtp] = iter(power_deviations(k, rhos, delta, delta, ns).tolist())
-    checks = []
-    for row, k, dtp in combos:
-        deviation = next(deviations[k, dtp])
-        checks.append(TableCheck(
-            k=k, n=row.n, rho=row.rho, rho_display=row.rho_display, delta_two_pi=dtp,
-            deviation=deviation, passed=bool(deviation < tol),
-        ))
-    return TableReport(table=table, tolerance=tol, checks=tuple(checks))
+        for i, deviation in zip(idx, power_deviations(k, rhos, TWO_PI * float(dtp), ns).tolist()):
+            deviations[i] = deviation
+    checks = tuple(
+        TableCheck(k=k, n=row.n, rho=row.rho, rho_display=row.rho_display, delta_two_pi=dtp,
+                   deviation=deviation, passed=deviation < tol)
+        for (row, k, dtp), deviation in zip(combos, deviations)
+    )
+    return TableReport(table=table, tolerance=tol, checks=checks)

@@ -14,9 +14,10 @@ single step can also be taken in position space in O(k).  The dense
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -127,14 +128,19 @@ class WalkOperator:
     @cached_property
     def symbols(self) -> np.ndarray:
         """The (k, 2, 2) array of A_l = diag(w^l, w^-l) C, in one vectorised pass."""
-        w = np.exp(2j * math.pi / self.k * np.arange(self.k))
+        w = _roots(self.k)
         symbols = np.stack([w, w.conj()], axis=1)[:, :, None] * self.coin
         symbols.setflags(write=False)
         return symbols
 
     def power(self, n: int) -> np.ndarray:
         """Symbols of U^n, (k, 2, 2), in O(k) for any n and on the unit circle for large n."""
-        return su2_power(self.su2, self.params.delta, int(n))
+        diag, off, phase = su2_power(self.su2, self.params.delta, int(n))
+        blocks = np.empty((self.k, 2, 2), dtype=np.complex128)
+        blocks[:, 0, 0], blocks[:, 0, 1] = diag, off
+        blocks[:, 1, 0], blocks[:, 1, 1] = -off.conj(), diag.conj()
+        blocks *= phase
+        return blocks
 
     @cached_property
     def _sources(self) -> np.ndarray:
@@ -147,39 +153,39 @@ class WalkOperator:
         return (np.reshape(amplitudes, (self.k, 2)) @ self.coin.T).reshape(-1)[self._sources]
 
 
+@lru_cache(maxsize=16)
+def _roots(k: int) -> np.ndarray:
+    """w^l = exp(2*pi*i*l/k) for l = 0..k-1, shared per k, so read only."""
+    return np.exp(2j * math.pi / k * np.arange(k))
+
+
 def su2_form(k: int, rho, alpha: float, delta: float):
-    """(x, y, sin_theta, theta) of the blocks V_l (see `WalkOperator`), shape rho.shape + (k,),
-    for weights rho that share alpha and delta.  Raises on blocks off unitarity by UNITARY_TOL."""
+    """(x, y, sin_theta, theta), each rho.shape + (k,), of the blocks V_l (see `WalkOperator`)
+    for weights rho, () or (batch, 1), sharing alpha and delta; UNITARY_TOL-checked."""
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
-    rho = np.asarray(rho, dtype=float)[..., None]
     # row 0 of V_l is w^l (C_00, C_01) exp(-i*phi); row 1 follows from the SU(2) form
-    w = np.exp(2j * math.pi / k * np.arange(k) - 0.5j * (delta + math.pi))
-    x, y = w * np.sqrt(rho), w * (np.sqrt(1.0 - rho) * np.exp(1j * alpha))
-    sin_t = np.hypot(x.imag, np.abs(y))
+    w = _roots(k) * cmath.exp(-0.5j * (delta + math.pi))
+    q = np.sqrt(1.0 - rho)
+    x, y = w * np.sqrt(rho), w * (q * cmath.exp(1j * alpha))
+    sin_t = np.hypot(x.imag, q)
     deviation = np.abs(np.hypot(x.real, sin_t) - 1.0).max()
     if deviation > UNITARY_TOL:
         raise ValueError(f"blocks are not unitary (max deviation {deviation:.3e})")
     return x, y, sin_t, np.arctan2(sin_t, x.real)
 
 
-def su2_power(su2, delta: float, n) -> np.ndarray:
-    """Blocks A_l^n = exp(i*n*phi) V_l^n from `su2_form` parts and one power per coin."""
+def su2_power(su2, delta: float, n):
+    """(diag, off, phase) of A_l^n = phase * [[diag, off], [-conj(off), conj(diag)]] from
+    `su2_form` parts and powers n >= 0 shaped like its weights, with phase = exp(i*n*phi)."""
     x, y, sin_t, theta = su2
-    n_float = np.asarray(n, dtype=float)
-    if n_float.min() < 0:
-        raise ValueError(f"power must be nonnegative, got {n_float.min():g}")
-    angle = n_float[..., None] * theta
+    if np.asarray(n).min() < 0:
+        raise ValueError(f"power must be nonnegative, got {np.min(n)}")
+    angle = n * theta
     g = np.divide(np.sin(angle), sin_t, out=np.zeros(angle.shape), where=sin_t > 0)
-    diag = np.cos(angle) + 1j * (g * x.imag)
-    off = g * y
-    blocks = np.empty(angle.shape + (2, 2), dtype=np.complex128)
-    blocks[..., 0, 0], blocks[..., 0, 1] = diag, off
-    blocks[..., 1, 0], blocks[..., 1, 1] = -off.conj(), diag.conj()
     # exp(i*n*phi) = i^n exp(i*n*delta/2), with i^n exact
-    quarter = _QUARTER_TURNS[np.asarray(n % 4, dtype=np.intp)]
-    blocks *= (quarter * np.exp(0.5j * delta * n_float))[..., None, None, None]
-    return blocks
+    phase = _QUARTER_TURNS[n % 4] * np.exp(0.5j * delta * n)
+    return np.cos(angle) + 1j * (g * x.imag), g * y, phase
 
 
 def build_walk_operator(k: int, params: CoinParams) -> WalkOperator:

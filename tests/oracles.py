@@ -28,7 +28,6 @@ from cyclewalk.solver import (
     _ALSO_VERIFIED,
     TWO_FORM_MATCH_TOL,
     SolutionFamily,
-    _canonical,
     _search_plan,
     companion_fractions,
     weight,
@@ -194,6 +193,12 @@ def rho_one_generators(k: int, uv: Fraction) -> set[Fraction]:
         generators.add(Fraction(-l, k) % 1)
         generators.add((Fraction(l, k) + uv + Fraction(1, 2)) % 1)
     return generators
+
+
+def _canonical(x: Fraction) -> Fraction:
+    """The point of [0, 1/2] with the same cos(2*pi*x)."""
+    x = x % 1
+    return min(x, 1 - x)
 
 
 def reduced_fractions(max_den: int) -> list[Fraction]:

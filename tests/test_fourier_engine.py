@@ -165,7 +165,7 @@ batch_rows = st.lists(
 @given(k=cycle_lengths, delta=deltas, rows=batch_rows)
 def test_batch_matches_each_row_alone(k, delta, rows):
     rhos, ns = zip(*rows)
-    batched = power_deviations(k, rhos, delta, delta, ns)
+    batched = power_deviations(k, rhos, delta, ns)
     assert batched.shape == (len(rows),)
     for (rho, n), deviation in zip(rows, batched):
         alone = power_deviation(k, CoinParams.from_delta(rho, delta), n)
@@ -184,7 +184,7 @@ def test_batch_matches_each_row_alone(k, delta, rows):
 def test_batch_flags_only_the_false_row(k, rows, false_row):
     delta = TWO_PI / 3 if k == 7 else 0.0
     rhos, ns = zip(*rows)
-    deviations = power_deviations(k, rhos, delta, delta, ns)
+    deviations = power_deviations(k, rhos, delta, ns)
     assert deviations[false_row] >= 1e-9
     assert (np.delete(deviations, false_row) < 1e-9).all()
 
@@ -192,7 +192,14 @@ def test_batch_flags_only_the_false_row(k, rows, false_row):
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, -math.inf])
 def test_batch_rejects_weights_outside_the_unit_interval(bad):
     with pytest.raises(ValueError):
-        power_deviations(5, [0.5, bad, 0.25], 0.0, 0.0, [3, 4, 5])
+        power_deviations(5, [0.5, bad, 0.25], 0.0, [3, 4, 5])
+
+
+def test_batch_rejects_a_negative_power():
+    with pytest.raises(ValueError):
+        power_deviations(5, [0.5, 0.5], 0.0, [3, -4])
+    with pytest.raises(ValueError):
+        power_deviation(5, CoinParams(0.5), -4)
 
 
 def test_batch_memory_is_bounded_in_its_size():
@@ -200,7 +207,7 @@ def test_batch_memory_is_bounded_in_its_size():
     rhos, ns = rng.uniform(0.0, 1.0, 20000), rng.integers(0, 3000, 20000)
     tracemalloc.start()
     try:
-        deviations = power_deviations(6, rhos, 1.0, 1.0, ns)
+        deviations = power_deviations(6, rhos, 1.0, ns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

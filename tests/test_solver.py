@@ -1,6 +1,7 @@
 """Weight forms, the seed-search dispatch, the rho edges, and the approximate mode."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -362,6 +363,27 @@ def test_search_certifies_in_one_pass_per_cycle(monkeypatch):
     assert built == []
     # k=3 certificates are checked on the k=6 cycle as well, each in one pass
     assert passes == [(3, len(family.solutions)), (6, len(family.solutions))]
+
+
+def test_search_memory_holds_one_chunk_of_candidates():
+    # the per-candidate Fraction search peaks at 25.6 MB here; holding every
+    # candidate's generators at once before the batch took it to 30.4 MB
+    tracemalloc.start()
+    try:
+        family = enumerate_seeded(6, Fraction(1, 3), max_den=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family.solutions) == 20194
+    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("dtp", [Fraction(1), Fraction(-1, 3)], ids=str)
+def test_searches_reject_delta_outside_one_turn(dtp):
+    with pytest.raises(ValueError):
+        enumerate_seeded(3, dtp, max_den=8)
+    with pytest.raises(ValueError):
+        solve_seeded(3, dtp, Fraction(1, 5))
 
 
 # two-form cases of k=3, 4, 6 and 8 without a solution at denominators <= 30
