@@ -9,9 +9,9 @@ tables are CSV (columns step, position, coin, re, im, prob) or JSON.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +23,7 @@ from .revival import CERTIFICATION_TOL, RevivalCertificate, power_deviation
 from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
-from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_walk
+from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_steps
 
 __all__ = ["certificate_from_json", "certificate_to_json", "main"]
 
@@ -31,6 +31,14 @@ TWO_PI = 2.0 * math.pi
 
 #: the cycle a seed-search case runs on when --k is not given
 _CASE_DEFAULT_K = {"k2": 2, "k3": 3, "k4": 4, "two-form": None}
+
+#: (start, step prefix, row, separator, end) of each `simulate` output, byte for byte as
+#: csv.writer and json.dumps write it; rows leave %r slots for re, im and prob
+_TABLE_FORMATS = {
+    "csv": ("step,position,coin,re,im,prob\n", "{},", "{},{},%r,%r,%r", "\n", "\n"),
+    "json": ("[", '{{"step": {}, ', '"position": {}, "coin": {}, "re": %r, "im": %r, "prob": %r}}',
+             ", ", "]\n"),
+}
 
 
 class CliError(Exception):
@@ -158,27 +166,28 @@ def cmd_simulate(args) -> int:
     _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
     params, _ = _coin_params(args)
     if args.line:
-        result = line_walk(_initial_line_state(args.initial), params, args.steps)
-        positions, history = result.positions.tolist(), result.history.reshape(args.steps + 1, -1)
+        positions, tables = line_steps(_initial_line_state(args.initial), params, args.steps)
     elif args.k is None:
         raise CliError(2, "--k is required unless --line is given")
     else:
         state = _initial_cycle_state(args.initial, args.k)
         op = build_walk_operator(args.k, params)
-        positions, history = range(args.k), _cycle_steps(state, op, args.steps)
-    header = ["step", "position", "coin", "re", "im", "prob"]
+        positions, tables = range(args.k), _cycle_steps(state, op, args.steps)
+    start, step, row, sep, end = _TABLE_FORMATS[args.out]
     # amplitude vectors are position-major with the coin index fastest
-    cells = [(pos, coin) for pos in positions for coin in (0, 1)]
-    rows = []
-    for t, amps in enumerate(history):
-        for (pos, coin), amp in zip(cells, amps):
-            rows.append([t, pos, coin, amp.real, amp.imag, abs(amp) ** 2])
-    if args.out == "json":
-        print(json.dumps([dict(zip(header, row)) for row in rows]))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    rows = [row.format(pos, coin) for pos in map(int, positions) for coin in (0, 1)]
+    # the rows of zero cells, chosen by 2 * signbit(re) + signbit(im)
+    zero_rows = np.array([[r % (re, im, 0.0) for r in rows]
+                          for re in (0.0, -0.0) for im in (0.0, -0.0)], dtype=object)
+    for t, amps in enumerate(tables):
+        amps, prefix = amps.reshape(-1), step.format(t)
+        text = np.choose(2 * np.signbit(amps.real) + np.signbit(amps.imag), zero_rows).tolist()
+        nonzero = np.flatnonzero(amps)
+        # prob is abs then ** 2 on Python floats: np.abs and x * x round differently
+        for i, a in zip(nonzero.tolist(), amps[nonzero].tolist()):
+            text[i] = rows[i] % (a.real, a.imag, abs(a) ** 2)
+        sys.stdout.write((sep if t else start) + prefix + (sep + prefix).join(text))
+    sys.stdout.write(end)
     return 0
 
 
@@ -396,10 +405,16 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             ok = value is None or 0 < value < math.inf
             _require(ok, f"--{flag} must be positive and finite, got {value}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CliError, ExpressionError) as exc:
         print(f"cyclewalk: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): as the Python docs advise, flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

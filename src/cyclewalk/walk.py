@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -272,17 +272,16 @@ class LineWalkResult:
         return np.sum(np.abs(self.history[step]) ** 2, axis=1)
 
 
-def line_walk(
-    initial: Mapping[int, Sequence[complex]],
-    params: CoinParams,
-    steps: int,
-) -> LineWalkResult:
-    """Run `steps` coin-then-shift applications on the infinite line.
+def line_steps(
+    initial: Mapping[int, Sequence[complex]], params: CoinParams, steps: int
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The window of positions and a generator of its (window, 2) amplitude table
+    after each of 0..steps coin-then-shift applications on the infinite line.
 
     `initial` maps positions to (up, down) amplitude pairs and must be
-    normalized.  The window [min-steps, max+steps] is preallocated; it
-    provably contains all support since one step moves amplitude by one
-    site.  Total probability is conserved to machine precision.
+    normalized.  The window [min-steps, max+steps] provably contains all support,
+    since one step moves amplitude by one site; probability is conserved to
+    machine precision.  One table is held at a time, so memory is O(steps).
     """
     steps = int(steps)
     if steps < 0:
@@ -291,8 +290,7 @@ def line_walk(
         raise ValueError("initial state has no support")
     lo = min(initial) - steps
     hi = max(initial) + steps
-    width = hi - lo + 1
-    amps = np.zeros((width, 2), dtype=np.complex128)
+    amps = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
     for pos, pair in initial.items():
         pair = np.asarray(pair, dtype=np.complex128).reshape(-1)
         if pair.shape != (2,):
@@ -301,18 +299,25 @@ def line_walk(
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"initial state is not normalized: sum |a|^2 = {norm_sq!r}")
-
-    coin_t = build_coin(params).T.copy()
-    history = np.zeros((steps + 1, width, 2), dtype=np.complex128)
-    history[0] = amps
-    for t in range(1, steps + 1):
-        amps = amps @ coin_t
-        shifted = np.zeros_like(amps)
-        shifted[:-1, 0] = amps[1:, 0]  # up moves left
-        shifted[1:, 1] = amps[:-1, 1]  # down moves right
-        amps = shifted
-        history[t] = amps
-    history.setflags(write=False)
     positions = np.arange(lo, hi + 1)
     positions.setflags(write=False)
+    return positions, _line_tables(amps, build_coin(params).T.copy(), steps)
+
+
+def _line_tables(amps: np.ndarray, coin_t: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    yield amps
+    for _ in range(steps):
+        coined, amps = amps @ coin_t, np.zeros_like(amps)
+        amps[:-1, 0] = coined[1:, 0]  # up moves left
+        amps[1:, 1] = coined[:-1, 1]  # down moves right
+        yield amps
+
+
+def line_walk(
+    initial: Mapping[int, Sequence[complex]], params: CoinParams, steps: int
+) -> LineWalkResult:
+    """Every table of `line_steps`, filled into one (steps+1, window, 2) history."""
+    positions, tables = line_steps(initial, params, steps)
+    history = np.fromiter(tables, np.dtype((complex, (len(positions), 2))), int(steps) + 1)
+    history.setflags(write=False)
     return LineWalkResult(positions=positions, history=history)

@@ -6,18 +6,24 @@ square-root formula for each block's eigenvalue pair, and the per-phase
 reconstruction loop and Fraction-built rho=1 generators that the batched
 revival path must reproduce exactly, and the per-candidate Fraction seed
 search that the integer scan and batched certification must reproduce.
+The row-list `simulate` emitter, with its preallocated line-walk history,
+is the reference that the streamed emitter must match byte for byte.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from cyclewalk import cli
 from cyclewalk.revival import (
     CERTIFICATION_TOL,
     RevivalCertificate,
@@ -39,7 +45,7 @@ from cyclewalk.spectral import (
     full_spectrum,
     principal_phase,
 )
-from cyclewalk.walk import CoinParams, WalkOperator
+from cyclewalk.walk import CoinParams, WalkOperator, build_coin
 
 
 def build_shift_cycle(k: int) -> np.ndarray:
@@ -282,3 +288,55 @@ def enumerate_seeded_per_candidate(
     ]
     certificates.sort(key=lambda c: (c.N, c.rho))
     return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
+
+
+def reference_line_history(initial: dict, params: CoinParams, steps: int):
+    """Positions and the preallocated (steps+1, window, 2) history of a line walk."""
+    lo, hi = min(initial) - steps, max(initial) + steps
+    amps = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
+    for pos, pair in initial.items():
+        amps[pos - lo] = pair
+    coin_t = build_coin(params).T.copy()
+    history = np.zeros((steps + 1, hi - lo + 1, 2), dtype=np.complex128)
+    history[0] = amps
+    for t in range(1, steps + 1):
+        amps = amps @ coin_t
+        shifted = np.zeros_like(amps)
+        shifted[:-1, 0] = amps[1:, 0]  # up moves left
+        shifted[1:, 1] = amps[:-1, 1]  # down moves right
+        amps = shifted
+        history[t] = amps
+    return list(range(lo, hi + 1)), history
+
+
+def reference_simulate(argv: list[str]) -> str:
+    """Stdout of `cyclewalk simulate <argv>` from the row-list emitter: every row
+    held as [step, position, coin, re, im, prob] with numpy scalars, then written
+    by csv.writer or json.dumps."""
+    args = cli._build_parser().parse_args(["simulate", *argv])
+    params, _ = cli._coin_params(args)
+    if args.line:
+        initial = cli._initial_line_state(args.initial)
+        positions, history = reference_line_history(initial, params, args.steps)
+        history = history.reshape(args.steps + 1, -1)
+    else:
+        state = cli._initial_cycle_state(args.initial, args.k)
+        op = WalkOperator(args.k, params)
+        history = [state.amplitudes]
+        for _ in range(args.steps):
+            history.append(op.step(history[-1]))
+        positions = range(args.k)
+    header = ["step", "position", "coin", "re", "im", "prob"]
+    cells = [(pos, coin) for pos in positions for coin in (0, 1)]
+    rows = []
+    for t, amps in enumerate(history):
+        for (pos, coin), amp in zip(cells, amps):
+            rows.append([t, pos, coin, amp.real, amp.imag, abs(amp) ** 2])
+    out = io.StringIO()
+    if args.out == "json":
+        print(json.dumps([dict(zip(header, row)) for row in rows]), file=out)
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return out.getvalue()

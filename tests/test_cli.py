@@ -1,6 +1,7 @@
 """Command-line surface: flags, output formats, exit codes, JSON round trips."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -8,14 +9,24 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclewalk.cli import certificate_from_json, certificate_to_json, main
+from oracles import reference_simulate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict:
+    """The environment of a `python -m cyclewalk.cli` subprocess that imports this checkout."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +121,92 @@ class TestSimulate:
         code, text, _ = run_cli(capsys, "simulate", *argv, "--out", out)
         assert code == 0
         assert text == (GOLDEN / f"{name}.{out}").read_text()
+
+
+#: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts
+UNIT_PAIRS = [("0.6", "0.8"), ("-0.6", "0.8j"), ("0.8j", "-0.6"), ("-1", "-0"), ("0", "-1j")]
+#: exact zeros, as complex() reads them: +-0 in the real and in the imaginary part
+ZEROS = ["0", "-0", "-0j", "-0-0j"]
+
+
+@st.composite
+def simulate_argvs(draw):
+    """`simulate` arguments on small cycles and lines, every coin form and initial state."""
+    line = draw(st.booleans())
+    cells = 2 if line else 2 * draw(st.integers(2, 6))
+    argv = ["--line"] if line else ["--k", str(cells // 2)]
+    argv += ["--rho", draw(st.sampled_from(["0", "1", "1/2", "2/3", "0.37", "1/7"]))]
+    phase = draw(st.sampled_from(["none", "delta", "alpha", "alpha-beta"]))
+    if phase == "delta":
+        argv += ["--delta-frac", draw(st.sampled_from(["0/1", "1/3", "2/5", "1/2", "5/6"]))]
+    elif phase == "alpha":
+        argv += ["--alpha", f"{draw(st.floats(0, 6.28)):.6f}"]
+    elif phase == "alpha-beta":
+        alpha, beta = draw(st.floats(0, 3.14)), draw(st.floats(0.01, 3.14))
+        argv += ["--alpha", f"{alpha:.6f}", "--beta", f"{beta:.6f}"]
+    initial = draw(st.sampled_from(["up0", "symmetric", "explicit"]))
+    if initial == "explicit":
+        amps = [draw(st.sampled_from(ZEROS)) for _ in range(cells)]
+        i, j = draw(st.lists(st.integers(0, cells - 1), min_size=2, max_size=2, unique=True))
+        amps[i], amps[j] = draw(st.sampled_from(UNIT_PAIRS))
+        initial = ",".join(amps)
+    steps = draw(st.integers(0, 10))
+    out = draw(st.sampled_from(["csv", "json"]))
+    # the = form, because an amplitude list may start with a minus sign
+    return argv + ["--steps", str(steps), f"--initial={initial}", "--out", out]
+
+
+def line_simulate_peak(steps: int) -> int:
+    """Peak traced bytes of `simulate --line --steps <steps>` writing to devnull."""
+    argv = ["simulate", "--line", "--steps", str(steps)]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(argv)  # first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+class TestStreamedSimulate:
+    def test_matches_the_row_list_emitter(self):
+        signed_zero = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(argv=simulate_argvs())
+        @example(argv=["--line", "--steps", "3"])
+        @example(argv=["--k", "2", "--steps", "0", "--initial=-0,0.6,-0j,-0.8j", "--out", "json"])
+        @example(argv="--k 4 --rho 1/3 --delta-frac 2/5 --steps 6 --initial symmetric".split())
+        def check(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["simulate", *argv]) == 0
+            expected = reference_simulate(argv)
+            assert out.getvalue() == expected
+            signed_zero.append("-0.0" in expected)
+
+        check()
+        assert any(signed_zero)  # the signed-zero rows were exercised
+
+    def test_line_peak_memory_is_linear_in_steps(self):
+        # the full (steps+1, window, 2) history or a list of every row would be
+        # O(steps^2), about 4x from 200 to 400 steps
+        small, large = line_simulate_peak(200), line_simulate_peak(400)
+        assert large < 2.5 * small
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # 401 * 128 rows fill the pipe long before the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclewalk.cli", "simulate", "--k", "64", "--steps", "400"],
+            env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"step,position,coin,re,im,prob\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
 
 class TestVerify:
@@ -392,12 +489,10 @@ class TestOneParser:
 
     def test_mixed_calls_match_fresh_processes(self, capsys):
         # no argparse state may leak from one call into the next
-        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         fresh = [
             subprocess.Popen(
                 [sys.executable, "-m", "cyclewalk.cli", *argv],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
             )
             for argv in self.MIXED
         ]
