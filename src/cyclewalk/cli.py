@@ -56,13 +56,14 @@ def certificate_to_json(cert: RevivalCertificate) -> dict:
     if cert.delta_two_pi is not None:
         delta["two_pi_num"] = cert.delta_two_pi.numerator
         delta["two_pi_den"] = cert.delta_two_pi.denominator
+    n = cert.N
     return {
         "k": cert.k,
         "N": cert.N,
         "rho": {"value": cert.rho, "expr": cert.rho_display},
         "delta": delta,
         "generators": [
-            {"num": f.numerator, "den": f.denominator} for f in cert.generators
+            {"num": j // g, "den": n // g} for j in cert.numerators for g in (math.gcd(j, n),)
         ],
         "max_deviation": cert.max_deviation,
         "case_tag": cert.case_tag,
@@ -75,12 +76,12 @@ def certificate_from_json(record: dict) -> RevivalCertificate:
     delta_two_pi = None
     if delta.get("two_pi_num") is not None:
         delta_two_pi = Fraction(delta["two_pi_num"], delta["two_pi_den"])
-    return RevivalCertificate(
+    return RevivalCertificate.from_generators(
+        [Fraction(g["num"], g["den"]) for g in record["generators"]],
         k=record["k"],
         N=record["N"],
         rho=record["rho"]["value"],
         delta=delta["radians"],
-        generators=tuple(Fraction(g["num"], g["den"]) for g in record["generators"]),
         max_deviation=record["max_deviation"],
         case_tag=record["case_tag"],
         delta_two_pi=delta_two_pi,

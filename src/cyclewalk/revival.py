@@ -11,6 +11,7 @@ block column of U^N, O(k log k) for any N.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,8 +126,9 @@ def power_deviation(k: int, params: CoinParams, n: int) -> float:
 class RevivalCertificate:
     """A verified revival: U_k^N = I within max_deviation.
 
-    `generators` holds the eigenphase fractions whose denominators produced
-    N; their LCM always divides N (equality can fail only for the rho=1
+    The eigenphase fractions that produced N, `generators`, are held as j/N for
+    the strictly increasing integers j in [0, N) of `numerators`; their period
+    N / gcd(N, j_1, ..., j_m) divides N (equality can fail only for the rho=1
     family, whose published period is a multiple of the true one for some
     delta).  Exact certificates must verify below CERTIFICATION_TOL;
     approximate ones (exact=False) record their deviation as achieved.
@@ -136,7 +138,7 @@ class RevivalCertificate:
     N: int
     rho: float
     delta: float
-    generators: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
     max_deviation: float
     case_tag: str = "reconstructed"
     delta_two_pi: Fraction | None = None
@@ -144,10 +146,6 @@ class RevivalCertificate:
     exact: bool = True
 
     def __post_init__(self):
-        # exact order: rounding is monotone, and equal floats compare the fractions
-        keyed = sorted((f.numerator / f.denominator, f) for f in self.generators)
-        unique = (f for i, (_, f) in enumerate(keyed) if i == 0 or keyed[i - 1] != keyed[i])
-        object.__setattr__(self, "generators", tuple(unique))
         if self.N < 1:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.exact and not self.max_deviation < CERTIFICATION_TOL:
@@ -155,12 +153,23 @@ class RevivalCertificate:
                 f"certificate failed verification: k={self.k}, N={self.N}, "
                 f"deviation {self.max_deviation:.3e}"
             )
-        if self.generators:
-            period = math.lcm(*(f.denominator for f in self.generators))
-            if self.N % period != 0:
-                raise ValueError(
-                    f"N={self.N} is not a multiple of the generator period {period}"
-                )
+        j = self.numerators
+        if j and not (0 <= j[0] and j[-1] < self.N and all(map(operator.lt, j, j[1:]))):
+            raise ValueError(f"numerators must increase strictly within [0, N={self.N})")
+
+    @classmethod
+    def from_generators(cls, generators, **fields) -> RevivalCertificate:
+        """The certificate of these fractions in [0, 1), in any order and with repeats."""
+        n, pairs = fields["N"], [f.as_integer_ratio() for f in generators]
+        period = math.lcm(*(den for _, den in pairs))
+        if n % period != 0:
+            raise ValueError(f"N={n} is not a multiple of the generator period {period}")
+        return cls(numerators=tuple(sorted({a * (n // b) for a, b in pairs})), **fields)
+
+    @property
+    def generators(self) -> tuple[Fraction, ...]:
+        """The eigenphase fractions j/N, reduced and ascending."""
+        return tuple(Fraction(j, self.N) for j in self.numerators)
 
     @property
     def params(self) -> CoinParams:
@@ -187,24 +196,18 @@ def revival_period(
     p, q = p[proved].astype(np.int64), q[proved].astype(np.int64)
     if not (np.abs(x[proved] - p / q) < PHASE_RECONSTRUCTION_TOL).all():
         return None
-    pairs = set(zip((p % q).tolist(), q.tolist()))
-    for phase in phases[~proved].tolist():
-        fraction = reconstruct_fraction(phase, max_den=max_n)
-        if fraction is None:
-            return None
-        pairs.add(fraction.as_integer_ratio())
-    n = math.lcm(*{den for _, den in pairs})
+    fallback = [reconstruct_fraction(phase, max_den=max_n) for phase in phases[~proved].tolist()]
+    if None in fallback:
+        return None
+    n = math.lcm(*np.unique(q).tolist(), *(f.denominator for f in fallback))
     if n > max_n:
         return None
 
     deviation = power_deviation(k, params, n)
     if not deviation < CERTIFICATION_TOL:
         return None
-    return RevivalCertificate(
-        k=k,
-        N=n,
-        rho=params.rho,
-        delta=params.delta,
-        generators=tuple(Fraction(num, den) for num, den in pairs),
-        max_deviation=deviation,
-    )
+    # proofs pass only for max_n < 5e14 (see _PROOF_MARGIN), so then n // q fits an int64
+    numerators = (p % q * (n // q)).tolist() if q.size else []
+    numerators += [f.numerator * (n // f.denominator) for f in fallback]
+    return RevivalCertificate(k=k, N=n, rho=params.rho, delta=params.delta,
+                              numerators=tuple(sorted(set(numerators))), max_deviation=deviation)

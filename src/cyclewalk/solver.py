@@ -15,9 +15,10 @@ weight.  A full revival needs one class per form, all at one rho in (0, 1):
 keeps every class for one form and joins the two weight lists for two, adds
 the degenerate blocks' constant fractions and takes N as the LCM of all
 denominators, all in integers (seed p/q at d = u/v is in the class
-min(t, qv - t)/(qv), t = (2pv - uq) mod qv).  The candidates of one (k, d)
-are built lazily and certified a chunk at a time, one batched engine pass
-(`revival.power_deviations`) per cycle and chunk.
+min(t, qv - t)/(qv), t = (2pv - uq) mod qv, each generator a numerator over
+N).  The candidates of one (k, d) are built lazily and certified a chunk at
+a time, one batched engine pass (`revival.power_deviations`) per cycle and
+chunk.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-HALF = Fraction(1, 2)
 
 APPROX_DENOMINATOR_CAP = 10**6
 APPROX_PERIOD_CAP = 10**6
@@ -143,11 +143,11 @@ def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fra
 def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
     """Eigenphase fractions {-l/k, -l/k + 1/2} (mod 1) of a degenerate block."""
     base = Fraction(-l, k) % 1
-    return frozenset((base, (base + HALF) % 1))
+    return frozenset((base, (base + Fraction(1, 2)) % 1))
 
 
 def _certified(k, dtp, tag, candidates, also_k=()) -> list[RevivalCertificate]:
-    """Certificates of (rho, N, generators) candidates: one engine pass per chunk and cycle."""
+    """Certificates of (rho, N, numerators) candidates: one engine pass per chunk and cycle."""
     delta, out = TWO_PI * float(dtp), []
     rows = max(1, _CHUNK_BLOCKS // max((k, *also_k)))
     candidates = iter(candidates)
@@ -155,9 +155,9 @@ def _certified(k, dtp, tag, candidates, also_k=()) -> list[RevivalCertificate]:
         rho, n = (np.array([c[i] for c in chunk])[:, None] for i in (0, 1))
         deviations = np.max([_deviation(c, rho, delta, n) for c in (k, *also_k)], 0)
         out += [
-            RevivalCertificate(k=k, N=n, rho=rho, delta=delta, generators=generators,
+            RevivalCertificate(k=k, N=n, rho=rho, delta=delta, numerators=numerators,
                                max_deviation=deviation, case_tag=tag, delta_two_pi=dtp)
-            for (rho, n, generators), deviation in zip(chunk, deviations.tolist())
+            for (rho, n, numerators), deviation in zip(chunk, deviations.tolist())
         ]
     return out
 
@@ -176,21 +176,19 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         raise ValueError(f"edge must be 0 or 1, got {edge}")
     u, v = uv.as_integer_ratio()
     if edge == 0:
-        n = 2 * v
-        generators = {uv / 2, uv / 2 + HALF}
-        tag = "rho0"
+        # u/(2v) and u/(2v) + 1/2
+        n, numerators, tag = 2 * v, (u, u + v), "rho0"
     else:
         n = math.lcm(2, k, v * k)
-        # -l/k and l/k + u/v + 1/2 (mod 1), the second over the denominator 2kv
-        turn = 2 * k * v
-        generators = [Fraction(j, k) for j in range(k)]
-        generators += [Fraction((2 * v * l + 2 * u * k + k * v) % turn, turn) for l in range(k)]
-        tag = "rho1"
-    return _certified(k, uv, tag, [(float(edge), n, generators)])[0]
+        # -l/k and l/k + u/v + 1/2 (mod 1), over n
+        first = np.arange(k) * (n // k)
+        second = (first + u * (n // v) + n // 2) % n
+        numerators, tag = tuple(np.unique([first, second]).tolist()), "rho1"
+    return _certified(k, uv, tag, [(float(edge), n, numerators)])[0]
 
 
 def _search_plan(k: int, dtp: Fraction):
-    """(form points, degenerate-block fractions, case tag) of a seed search."""
+    """(form points, degenerate-block (num, den) pairs, case tag) of a seed search."""
     if not 0 <= dtp < 1:
         raise ValueError(f"delta fraction must lie in [0, 1), got {dtp}")
     forms, degenerate = weight_forms(k, dtp)
@@ -199,21 +197,19 @@ def _search_plan(k: int, dtp: Fraction):
             f"k={k} at delta={dtp}*2*pi has {len(forms)} weight forms; "
             "seed searches need one or two"
         )
-    constants = {f for l in degenerate for f in constant_block_fractions(k, l)}
+    constants = {f.as_integer_ratio() for l in degenerate for f in constant_block_fractions(k, l)}
     tag = _SINGLE_FORM_TAGS[k] if len(forms) == 1 else "two_form"
     return tuple(forms), tuple(constants), tag
 
 
 def _candidates(dtp, constants, matches, max_n=None):
-    """Lazily, (rho, N, generators) per (rho, seeds (p, q)) match; N an integer LCM <= max_n."""
+    """Lazily, (rho, N, numerators over N) per (rho, seeds (p, q)) match; N an LCM <= max_n."""
     u, v = dtp.as_integer_ratio()
-    base = math.lcm(*(f.denominator for f in constants))
     for rho, seeds in matches:
-        pairs = {pair for p, q in seeds for pair in _companion_pairs(p, q, u, v)}
-        n = math.lcm(base, *(den for _, den in pairs))
+        pairs = [*constants, *(pair for p, q in seeds for pair in _companion_pairs(p, q, u, v))]
+        n = math.lcm(*(den for _, den in pairs))
         if max_n is None or n <= max_n:
-            # Fractions only for kept candidates; RevivalCertificate drops one equal to a constant
-            yield rho, n, constants + tuple(Fraction(*pair) for pair in pairs)
+            yield rho, n, tuple(sorted({num * (n // den) for num, den in pairs}))
 
 
 def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
@@ -406,14 +402,7 @@ def solve_approximate(
     if n > APPROX_PERIOD_CAP:
         return None
     deviation = power_deviation(k, params, n)
-    return RevivalCertificate(
-        k=k,
-        N=n,
-        rho=float(rho),
-        delta=delta_value,
-        generators=tuple(fractions),
-        max_deviation=deviation,
-        case_tag="approximate",
-        delta_two_pi=dtp,
-        exact=bool(deviation < CERTIFICATION_TOL),
+    return RevivalCertificate.from_generators(
+        fractions, k=k, N=n, rho=float(rho), delta=delta_value, max_deviation=deviation,
+        case_tag="approximate", delta_two_pi=dtp, exact=bool(deviation < CERTIFICATION_TOL),
     )

@@ -4,8 +4,10 @@ None of this is on a production path: the dense 2k x 2k step matrix, the
 kron(F_k, F_2) conjugation that block-diagonalizes it, the paper's scalar
 square-root formula for each block's eigenvalue pair, and the per-phase
 reconstruction loop and Fraction-built rho=1 generators that the batched
-revival path must reproduce exactly, and the per-candidate Fraction seed
-search that the integer scan and batched certification must reproduce.
+revival path must reproduce exactly, the per-candidate Fraction seed
+search that the integer scan and batched certification must reproduce, and
+the sort/dedupe/LCM normalisation of Fraction generators that integer
+numerators over N must reproduce.
 The row-list `simulate` emitter, with its preallocated line-walk history,
 is the reference that the streamed emitter must match byte for byte.
 """
@@ -36,7 +38,9 @@ from cyclewalk.solver import (
     SolutionFamily,
     _search_plan,
     companion_fractions,
+    constant_block_fractions,
     weight,
+    weight_forms,
 )
 from cyclewalk.spectral import (
     BLOCK_RESIDUAL_TOL,
@@ -217,52 +221,33 @@ def reduced_fractions(max_den: int) -> list[Fraction]:
     return out
 
 
-def _verified(
-    k: int,
-    rho: float,
-    delta_two_pi: Fraction,
-    generators,
-    n: int,
-    case_tag: str,
-    also_k: tuple[int, ...] = (),
-) -> RevivalCertificate:
-    delta = TWO_PI * float(delta_two_pi)
-    params = CoinParams.from_delta(rho, delta)
-    deviation = power_deviation(k, params, n)
-    for other in also_k:
-        deviation = max(deviation, power_deviation(other, params, n))
-    return RevivalCertificate(
-        k=k,
-        N=n,
-        rho=float(rho),
-        delta=delta,
-        generators=tuple(generators),
-        max_deviation=deviation,
-        case_tag=case_tag,
-        delta_two_pi=delta_two_pi,
-    )
+def normalized_generators(generators, n: int) -> tuple[Fraction, ...]:
+    """Eigenphase fractions sorted, deduplicated and checked against N one Fraction at
+    a time, as certificates held them before they stored numerators over N.
+
+    Sorted by float value with exact ties broken on the fractions, so fractions with
+    equal floats keep their exact order; raises when n is not a multiple of their LCM.
+    """
+    keyed = sorted((f.numerator / f.denominator, f) for f in generators)
+    unique = tuple(f for i, (_, f) in enumerate(keyed) if i == 0 or keyed[i - 1] != keyed[i])
+    if unique:
+        period = math.lcm(*(f.denominator for f in unique))
+        if n % period != 0:
+            raise ValueError(f"N={n} is not a multiple of the generator period {period}")
+    return unique
 
 
-def _certify(k, dtp, rho, seeds, constants, tag, max_n=None):
-    """Complete the seeds' companion classes and certify; None above max_n."""
-    generators = set(constants)
-    for seed in seeds:
-        generators |= companion_fractions(seed, dtp)
-    n = math.lcm(*(f.denominator for f in generators))
-    if max_n is not None and n > max_n:
-        return None
-    return _verified(k, rho, dtp, generators, n, tag, _ALSO_VERIFIED.get(k, ()))
-
-
-def enumerate_seeded_per_candidate(
+def seeded_candidates(
     k: int,
     delta_two_pi: Fraction,
     max_den: int,
     max_n: int | None = None,
-) -> SolutionFamily:
-    """The seed search in Fraction arithmetic, certifying one candidate at a time."""
+) -> tuple[str, list[tuple[float, int, set[Fraction]]]]:
+    """The seed search in Fraction arithmetic: (case tag, [(rho, N, generator set)]),
+    one per match in search order, candidates with N above max_n dropped."""
     dtp = Fraction(delta_two_pi)
-    xs, constants, tag = _search_plan(k, dtp)
+    xs, _, tag = _search_plan(k, dtp)
+    constants = {f for l in weight_forms(k, dtp)[1] for f in constant_block_fractions(k, l)}
     classes: dict[Fraction, Fraction] = {}
     for seed in reduced_fractions(max_den):
         classes.setdefault(_canonical(2 * seed - dtp), seed)
@@ -281,11 +266,35 @@ def enumerate_seeded_per_candidate(
             while i < len(second) and second[i][0] <= rho + TWO_FORM_MATCH_TOL:
                 matches.append((rho, (seed, second[i][1])))
                 i += 1
-    certificates = [
-        cert
-        for rho, seeds in matches
-        if (cert := _certify(k, dtp, rho, seeds, constants, tag, max_n)) is not None
-    ]
+    candidates = []
+    for rho, seeds in matches:
+        generators = set(constants)
+        for seed in seeds:
+            generators |= companion_fractions(seed, dtp)
+        n = math.lcm(*(f.denominator for f in generators))
+        if max_n is None or n <= max_n:
+            candidates.append((rho, n, generators))
+    return tag, candidates
+
+
+def enumerate_seeded_per_candidate(
+    k: int,
+    delta_two_pi: Fraction,
+    max_den: int,
+    max_n: int | None = None,
+) -> SolutionFamily:
+    """The seed search in Fraction arithmetic, certifying one candidate at a time."""
+    dtp = Fraction(delta_two_pi)
+    tag, candidates = seeded_candidates(k, dtp, max_den, max_n)
+    delta = TWO_PI * float(dtp)
+    certificates = []
+    for rho, n, generators in candidates:
+        params = CoinParams.from_delta(rho, delta)
+        deviation = max(power_deviation(c, params, n) for c in (k, *_ALSO_VERIFIED.get(k, ())))
+        certificates.append(RevivalCertificate.from_generators(
+            generators, k=k, N=n, rho=float(rho), delta=delta, max_deviation=deviation,
+            case_tag=tag, delta_two_pi=dtp,
+        ))
     certificates.sort(key=lambda c: (c.N, c.rho))
     return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
 

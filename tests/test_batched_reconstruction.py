@@ -178,7 +178,7 @@ def test_certificate_orders_and_dedupes_equal_floats():
     b = a + Fraction(1, 10**20)  # float(b) == float(a)
     c = Fraction(1, 2)
     assert float(a) == float(b) and a != b
-    cert = RevivalCertificate(
+    cert = RevivalCertificate.from_generators(
         k=2, N=6 * 10**20, rho=0.0, delta=0.0,
         generators=(c, b, a, b, c, a, Fraction(0)), max_deviation=0.0, exact=False,
     )

@@ -123,6 +123,26 @@ class TestSimulate:
         assert text == (GOLDEN / f"{name}.{out}").read_text()
 
 
+#: `solve` runs whose JSON lines are pinned byte for byte, one per search path
+SOLVE_GOLDEN = {
+    "k3": "--case k3 --delta-frac 0/1 --max-den 30 --max-n 30",
+    "k4": "--case k4 --delta-frac 1/2 --max-den 24 --max-n 48",
+    "two_form": "--case two-form --k 5 --delta-frac 2/5 --max-den 60",
+    "k2": "--case k2 --delta-frac 2/3 --max-den 30",
+    "rho0": "--case rho-edge --k 16 --delta-frac 3/7 --rho 0",
+    "rho1": "--case rho-edge --k 16 --delta-frac 3/7 --rho 1",
+    "rho1_k512": "--case rho-edge --k 512 --delta-frac 3/7 --rho 1",
+    "approx": "--case approx --k 6 --rho 0.37 --delta-frac 1/3 --epsilon 0.02",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
+def test_solve_golden_bytes(capsys, name):
+    code, text, _ = run_cli(capsys, "solve", *SOLVE_GOLDEN[name].split())
+    assert code == 0
+    assert text == (GOLDEN / f"solve_{name}.jsonl").read_text()
+
+
 #: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts
 UNIT_PAIRS = [("0.6", "0.8"), ("-0.6", "0.8j"), ("0.8j", "-0.6"), ("-1", "-0"), ("0", "-1j")]
 #: exact zeros, as complex() reads them: +-0 in the real and in the imaginary part

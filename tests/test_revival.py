@@ -238,13 +238,13 @@ class TestDoublingProperty:
 class TestRevivalCertificate:
     def test_rejects_unverified_exact(self):
         with pytest.raises(ValueError):
-            RevivalCertificate(
+            RevivalCertificate.from_generators(
                 k=3, N=8, rho=0.5, delta=0.0, generators=(), max_deviation=1e-3
             )
 
     def test_rejects_inconsistent_period(self):
         with pytest.raises(ValueError):
-            RevivalCertificate(
+            RevivalCertificate.from_generators(
                 k=3,
                 N=7,
                 rho=2.0 / 3.0,
@@ -254,7 +254,7 @@ class TestRevivalCertificate:
             )
 
     def test_approximate_mode_permits_large_deviation(self):
-        cert = RevivalCertificate(
+        cert = RevivalCertificate.from_generators(
             k=7,
             N=2700,
             rho=0.5,
