@@ -17,7 +17,7 @@ from .solver import (
     weight_forms,
 )
 from .special import build_special_state, demoivre_subspace, eigenbasis
-from .spectral import block_formula, full_spectrum
+from .spectral import full_spectrum
 from .tables import verify_table
 from .walk import (
     HADAMARD,
@@ -37,7 +37,6 @@ __all__ = [
     "HADAMARD",
     "RevivalCertificate",
     "WalkerState",
-    "block_formula",
     "build_special_state",
     "build_walk_operator",
     "demoivre_subspace",

@@ -296,7 +296,7 @@ def cmd_special(args) -> int:
             1,
             f"no eigenvalues of the k={args.k} walk are {args.period}-th roots of unity",
         )
-    if all(abs(p.value - 1.0) < args.tol for p in subspace.pairs):
+    if np.all(np.abs(subspace.values - 1.0) < args.tol):
         raise CliError(
             1,
             "only stationary eigenvectors (eigenvalue 1) satisfy this period; "
@@ -304,14 +304,14 @@ def cmd_special(args) -> int:
         )
     if args.coeffs is not None:
         coefficients = _parse_complex_list(args.coeffs)
-        if len(coefficients) != len(subspace.pairs):
+        if len(coefficients) != len(subspace.values):
             raise CliError(
                 2,
-                f"--coeffs needs {len(subspace.pairs)} entries for this subspace, "
+                f"--coeffs needs {len(subspace.values)} entries for this subspace, "
                 f"got {len(coefficients)}",
             )
     else:
-        coefficients = [1.0] * len(subspace.pairs)
+        coefficients = [1.0] * len(subspace.values)
     try:
         state = build_special_state(subspace, coefficients)
     except ValueError as exc:
@@ -327,8 +327,8 @@ def cmd_special(args) -> int:
         "rho": params.rho,
         "delta_two_pi": str(dtp),
         "period": args.period,
-        "subspace_blocks": [p.block for p in subspace.pairs],
-        "subspace_eigenvalues": [[p.value.real, p.value.imag] for p in subspace.pairs],
+        "subspace_blocks": subspace.blocks.tolist(),
+        "subspace_eigenvalues": [[z.real, z.imag] for z in subspace.values.tolist()],
         "state": [[a.real, a.imag] for a in state.amplitudes],
         "fidelities": fidelities,
     }

@@ -1,25 +1,25 @@
-"""Eigenvector machinery for states that revive without a full revival.
+"""States that revive without a full revival, built in Fourier-block space.
 
 When only a subset of the eigenvalues are N-th roots of unity, any state in
 the span of their eigenvectors returns after N steps even though U^N != I.
-Full-space eigenvectors are the closed-form 2x2 block eigenvectors times a
-plane wave over positions.
+Each full-space eigenvector is a plane wave over positions times a 2-vector
+coin eigenvector of one Fourier block, so eigenpairs are held as (block,
+value, coin) arrays and a combination of them is one FFT over the blocks.
+The dense eigenvectors are a test oracle, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import DEGENERACY_TOL, block_eigenpairs
+from .spectral import block_eigenpairs
 from .walk import CoinParams, WalkerState, build_walk_operator, evolve
 
 __all__ = [
     "DeMoivreSubspace",
     "EigenBasis",
-    "EigenPair",
     "build_special_state",
     "demoivre_subspace",
     "eigenbasis",
@@ -27,33 +27,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue of the walk with its full-space eigenvector.
-
-    `branch` indexes the eigenvalue within its block in principal-phase
-    order (the closed form's +/- labels are not stable and are not used).
-    `degenerate` flags blocks with a repeated eigenvalue, where the vectors
-    are merely one orthonormal choice.
-    """
-
-    value: complex
-    vector: np.ndarray
-    block: int
-    branch: int
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class EigenBasis:
-    """Eigenpairs of a cycle walk; a full basis has all 2k of them."""
+    """Eigenpairs of a cycle walk in block space; a full basis has all 2k of them.
+
+    Pair j has eigenvalue values[j] and the eigenvector that is
+    coins[j] * exp(-2*pi*i*blocks[j]*x/k)/sqrt(k) at position x.  The arrays,
+    of shapes (m,), (m,) and (m, 2), are held as read-only views.
+    """
 
     k: int
     params: CoinParams
-    pairs: tuple[EigenPair, ...]
+    blocks: np.ndarray
+    values: np.ndarray
+    coins: np.ndarray
 
-    def vectors(self) -> np.ndarray:
-        """(2k, n_pairs) matrix with one eigenvector per column."""
-        return np.column_stack([p.vector for p in self.pairs])
+    def __post_init__(self):
+        for name in ("blocks", "values", "coins"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -65,20 +57,14 @@ class DeMoivreSubspace(EigenBasis):
 
 
 def eigenbasis(k: int, params: CoinParams) -> EigenBasis:
-    """All 2k eigenpairs: block l's coin eigenvectors times exp(-2*pi*i*j*l/k)/sqrt(k)
-    at position j.  A block with a repeated eigenvalue is a scalar, so the coin's
-    computational basis is the eigenvector choice and the pair is flagged degenerate.
+    """All 2k eigenpairs, block-major, each block's in principal-phase order.
+
+    A block with a repeated eigenvalue is a scalar, and its coin vectors are
+    the computational basis (see `spectral.block_eigenpairs`).
     """
     values, vectors = block_eigenpairs(build_walk_operator(k, params))
-    pairs = []
-    for l in range(k):
-        wave = np.exp(-2j * np.pi * l / k * np.arange(k)) / np.sqrt(k)
-        degenerate = bool(abs(values[l, 0] - values[l, 1]) < DEGENERACY_TOL)
-        for j in range(2):
-            vector = np.outer(wave, vectors[l, :, j]).reshape(-1)
-            vector.setflags(write=False)
-            pairs.append(EigenPair(complex(values[l, j]), vector, l, j, degenerate))
-    return EigenBasis(k=k, params=params, pairs=tuple(pairs))
+    coins = vectors.transpose(0, 2, 1).reshape(-1, 2)  # coins[2l + j] = vectors[l, :, j]
+    return EigenBasis(k, params, np.repeat(np.arange(k), 2), values.reshape(-1), coins)
 
 
 def demoivre_subspace(
@@ -88,31 +74,26 @@ def demoivre_subspace(
     n_target = int(n_target)
     if n_target < 1:
         raise ValueError(f"target period must be positive, got {n_target}")
-    kept = tuple(
-        p
-        for p in basis.pairs
-        if abs(cmath.exp(1j * n_target * cmath.phase(p.value)) - 1.0) < tol
-    )
-    if not kept:
+    kept = np.abs(np.exp(1j * n_target * np.angle(basis.values)) - 1.0) < tol
+    if not kept.any():
         return None
-    return DeMoivreSubspace(
-        k=basis.k, params=basis.params, pairs=kept, n_target=n_target, tol=tol
-    )
+    pairs = (basis.blocks[kept], basis.values[kept], basis.coins[kept])
+    return DeMoivreSubspace(basis.k, basis.params, *pairs, n_target, tol)
 
 
 def build_special_state(subset: DeMoivreSubspace, coefficients) -> WalkerState:
-    """Normalized combination of the subset's eigenvectors.
+    """Normalized combination of the subset's eigenvectors, in one FFT over blocks.
 
     The result returns to itself after subset.n_target steps; that bound is
     re-checked against the operator and a violation raises, since it would
     mean the subset was assembled with an inconsistent tolerance.
     """
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
-    if coeffs.shape[0] != len(subset.pairs):
-        raise ValueError(
-            f"expected {len(subset.pairs)} coefficients, got {coeffs.shape[0]}"
-        )
-    combo = subset.vectors() @ coeffs
+    if coeffs.shape != subset.values.shape:
+        raise ValueError(f"expected {subset.values.size} coefficients, got {coeffs.size}")
+    spectrum = np.zeros((subset.k, 2), dtype=np.complex128)
+    np.add.at(spectrum, subset.blocks, coeffs[:, None] * subset.coins)
+    combo = np.fft.fft(spectrum, axis=0).reshape(-1) / np.sqrt(subset.k)
     norm = float(np.linalg.norm(combo))
     if norm < 1e-12:
         raise ValueError("coefficients combine to the zero vector")
@@ -122,7 +103,5 @@ def build_special_state(subset: DeMoivreSubspace, coefficients) -> WalkerState:
     revived = evolve(state, op, subset.n_target)
     gap = float(np.linalg.norm(revived.amplitudes - state.amplitudes))
     if gap >= subset.tol + 1e-12:
-        raise RuntimeError(
-            f"constructed state misses its revival: |U^N psi - psi| = {gap:.3e}"
-        )
+        raise RuntimeError(f"constructed state misses its revival: |U^N psi - psi| = {gap:.3e}")
     return state

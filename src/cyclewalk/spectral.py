@@ -10,7 +10,6 @@ conjugation is a test oracle, in tests/oracles.py.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "DEGENERACY_TOL",
     "BlockStructureError",
     "block_eigenpairs",
-    "block_formula",
     "full_spectrum",
     "principal_phase",
 ]
@@ -43,32 +41,6 @@ class BlockStructureError(RuntimeError):
 def principal_phase(values) -> np.ndarray:
     """Phases folded into [0, 2*pi)."""
     return np.mod(np.angle(values), TWO_PI)
-
-
-def block_formula(k: int, l: int, params: CoinParams) -> np.ndarray:
-    """Closed form of the l-th 2x2 diagonal block of F U F^dagger."""
-    if not 0 <= l < k:
-        raise ValueError(f"block index {l} out of range for k={k}")
-    w = cmath.exp(-2j * math.pi * l / k)
-    wc = cmath.exp(2j * math.pi * l / k)
-    ea = cmath.exp(1j * params.alpha)
-    eb = cmath.exp(1j * params.beta)
-    ed = cmath.exp(1j * (params.alpha + params.beta))
-    q = math.sqrt(1.0 - params.rho)
-    r = math.sqrt(params.rho)
-    return 0.5 * np.array(
-        [
-            [
-                (w * ea + wc * eb) * q + (w - wc * ed) * r,
-                (-w * ea + wc * eb) * q + (w + wc * ed) * r,
-            ],
-            [
-                (w * ea - wc * eb) * q + (w + wc * ed) * r,
-                (-w * ea - wc * eb) * q + (w - wc * ed) * r,
-            ],
-        ],
-        dtype=np.complex128,
-    )
 
 
 def block_eigenpairs(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Dense reference implementations that the tests check the Fourier-block engine against.
 
 None of this is on a production path: the dense 2k x 2k step matrix, the
-kron(F_k, F_2) conjugation that block-diagonalizes it, the paper's scalar
-square-root formula for each block's eigenvalue pair, and the per-phase
+kron(F_k, F_2) conjugation that block-diagonalizes it, the closed form of
+each 2x2 block and the paper's scalar square-root formula for its eigenvalue
+pair, the dense full-space eigenvectors of an eigenbasis, and the per-phase
 reconstruction loop and Fraction-built rho=1 generators that the batched
 revival path must reproduce exactly, the per-candidate Fraction seed
 search that the integer scan and batched certification must reproduce, and
@@ -42,6 +43,7 @@ from cyclewalk.solver import (
     weight,
     weight_forms,
 )
+from cyclewalk.special import EigenBasis
 from cyclewalk.spectral import (
     BLOCK_RESIDUAL_TOL,
     TWO_PI,
@@ -132,6 +134,46 @@ def block_diagonalize(op: WalkOperator) -> BlockDiagonalForm:
     return BlockDiagonalForm(
         k=k, blocks=blocks, eigenvalues=eigenvalues, eigenvectors=eigenvectors
     )
+
+
+def block_formula(k: int, l: int, params: CoinParams) -> np.ndarray:
+    """Closed form of the l-th 2x2 diagonal block of F U F^dagger."""
+    if not 0 <= l < k:
+        raise ValueError(f"block index {l} out of range for k={k}")
+    w = cmath.exp(-2j * math.pi * l / k)
+    wc = cmath.exp(2j * math.pi * l / k)
+    ea = cmath.exp(1j * params.alpha)
+    eb = cmath.exp(1j * params.beta)
+    ed = cmath.exp(1j * (params.alpha + params.beta))
+    q = math.sqrt(1.0 - params.rho)
+    r = math.sqrt(params.rho)
+    return 0.5 * np.array(
+        [
+            [
+                (w * ea + wc * eb) * q + (w - wc * ed) * r,
+                (-w * ea + wc * eb) * q + (w + wc * ed) * r,
+            ],
+            [
+                (w * ea - wc * eb) * q + (w + wc * ed) * r,
+                (-w * ea - wc * eb) * q + (w - wc * ed) * r,
+            ],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def eigenvector_matrix(basis: EigenBasis) -> np.ndarray:
+    """(2k, m) matrix of the basis's full-space eigenvectors, one per column.
+
+    Column j is the plane wave exp(-2*pi*i*blocks[j]*x/k)/sqrt(k) over
+    positions x times the coin vector coins[j], built pair by pair.
+    """
+    k = basis.k
+    columns = []
+    for block, coin in zip(basis.blocks.tolist(), basis.coins):
+        wave = np.exp(-2j * np.pi * block / k * np.arange(k)) / np.sqrt(k)
+        columns.append(np.outer(wave, coin).reshape(-1))
+    return np.column_stack(columns)
 
 
 def eigenvalues_closed_form(

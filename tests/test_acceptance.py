@@ -182,7 +182,7 @@ def test_criterion_08_special_state_example():
     params = CoinParams(SPECIAL_RHO)
     basis = eigenbasis(4, params)
     subspace = demoivre_subspace(basis, 5)
-    state = build_special_state(subspace, [1.0] * len(subspace.pairs))
+    state = build_special_state(subspace, [1.0] * len(subspace.values))
     op = build_walk_operator(4, params)
     fidelity = abs(np.vdot(state.amplitudes, evolve(state, op, 5).amplitudes))
     full_gap = power_deviation(4, params, 5)
@@ -191,9 +191,8 @@ def test_criterion_08_special_state_example():
     phase_ok = True
     for block, expected in ((1, column.block1), (3, column.block3)):
         got = sorted(
-            (cmath.phase(p.value) / TWO_PI) % 1.0
-            for p in basis.pairs
-            if p.block == block
+            (cmath.phase(value) / TWO_PI) % 1.0
+            for value in basis.values[basis.blocks == block].tolist()
         )
         want = sorted(float(f) for f in expected)
         phase_ok &= bool(np.max(np.abs(np.array(got) - want)) < 1e-10)

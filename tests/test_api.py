@@ -23,6 +23,9 @@ MOVED_TO_ORACLES = (
     "phase_multiset_distance",
     "eigenvalues_closed_form",
     "reduced_fractions",
+    "block_formula",
+    "eigenvector_matrix",
+    "EigenPair",  # the per-pair dense eigenvector; `oracles.eigenvector_matrix` builds them
 )
 
 
@@ -34,7 +37,6 @@ def test_package_exports_what_the_cli_readme_and_benchmark_use():
         "HADAMARD",
         "RevivalCertificate",
         "WalkerState",
-        "block_formula",
         "build_special_state",
         "build_walk_operator",
         "demoivre_subspace",
@@ -61,6 +63,13 @@ def test_package_exports_what_the_cli_readme_and_benchmark_use():
 def test_dense_oracles_are_not_in_the_library(module):
     exposed = [name for name in MOVED_TO_ORACLES if hasattr(importlib.import_module(module), name)]
     assert exposed == []
+
+
+def test_special_keeps_its_self_timed_names():
+    # the benchmark tracer self-times both; the eigenbasis holds no dense vectors
+    special = importlib.import_module("cyclewalk.special")
+    assert {"eigenbasis", "build_special_state"} <= set(special.__all__)
+    assert not hasattr(special.EigenBasis, "vectors")
 
 
 def test_walk_operator_has_no_dense_matrix():

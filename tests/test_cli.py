@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -414,6 +415,27 @@ class TestSpecial:
         )
         assert code == 1
         assert "stationary" in err or "roots of unity" in err
+
+
+    # pinned before eigenpairs moved to block space: the period-5 example, every
+    # pair kept, the scalar blocks 2 and 6, k=128, and the stationary-only refusal
+    @pytest.mark.parametrize("name", ["period5", "full", "scalar_blocks", "k128", "stationary"])
+    def test_golden_output(self, capsys, name):
+        golden = json.loads((GOLDEN / f"special_{name}.json").read_text())
+        code, out, err = run_cli(capsys, "special", *golden["argv"].split())
+        assert (code, err) == (golden["code"], golden["stderr"])
+        want = golden["stdout"]
+        if want is None:
+            assert out == ""
+            return
+        got = json.loads(out)
+        assert list(got) == list(want)
+        for key in ("k", "rho", "delta_two_pi", "period", "subspace_blocks",
+                    "subspace_eigenvalues"):
+            assert got[key] == want[key], key
+        for key in ("state", "fidelities"):
+            gap = np.max(np.abs(np.array(got[key]) - np.array(want[key])))
+            assert np.shape(got[key]) == np.shape(want[key]) and gap < 1e-13, key
 
 
 class TestInputContract:

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import CoinParams, block_formula, build_walk_operator, full_spectrum
+from cyclewalk import CoinParams, build_walk_operator, full_spectrum
 from cyclewalk.spectral import principal_phase
 from oracles import (
     block_diagonalize,
+    block_formula,
     eigenvalues_closed_form,
     fourier_matrix,
     phase_multiset_distance,
