@@ -1,8 +1,9 @@
 """Tiny arithmetic grammar for exact parameter values on the command line.
 
 Accepts integers, decimals, fractions, square roots (sqrt5 or sqrt(...)),
-+, -, *, /, and parentheses -- enough to spell every published table entry
-exactly, e.g. "(5-sqrt5)/8" or "2/3".
+pi, sin(...), cos(...), +, -, *, /, and parentheses -- enough to spell every
+published table entry exactly, e.g. "(5-sqrt5)/8", "2/3" or
+"(1/2)*(1+cos(pi/7))".
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ class ExpressionError(ValueError):
     """Malformed value expression."""
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|(sqrt)|([()+\-*/]))")
+_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|(sqrt|sin|cos|pi)|([()+\-*/]))")
+_FUNCTIONS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos}
 _FRACTION = re.compile(r"\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
@@ -42,7 +44,10 @@ def parse_value(text: str) -> float:
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
-    value, pos = _parse_expr(tokens, 0)
+    try:
+        value, pos = _parse_expr(tokens, 0)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     if pos != len(tokens):
         raise ExpressionError(f"trailing input starting at token {tokens[pos]!r}")
     return value
@@ -53,8 +58,11 @@ def parse_fraction(text: str) -> Fraction:
     match = _FRACTION.match(text)
     if match is None:
         raise ExpressionError(f"expected an integer fraction like 2/3, got {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    try:
+        num = int(match.group(1))
+        den = int(match.group(2)) if match.group(2) else 1
+    except ValueError:  # more digits than int() converts
+        raise ExpressionError(f"too many digits in {text[:20]!r}...") from None
     if den == 0:
         raise ExpressionError("fraction denominator is zero")
     return Fraction(num, den)
@@ -94,20 +102,19 @@ def _parse_atom(tokens, pos):
     if pos >= len(tokens):
         raise ExpressionError("expression ended unexpectedly")
     token = tokens[pos]
-    if token == "sqrt":
-        if pos + 1 < len(tokens) and tokens[pos + 1] == "(":
-            inner, new_pos = _parse_expr(tokens, pos + 2)
-            if new_pos >= len(tokens) or tokens[new_pos] != ")":
-                raise ExpressionError("unbalanced parenthesis after sqrt")
-            pos = new_pos + 1
-        elif pos + 1 < len(tokens) and _is_number(tokens[pos + 1]):
-            inner = float(tokens[pos + 1])
-            pos = pos + 2
+    if token in _FUNCTIONS:
+        if token == "sqrt" and pos + 1 < len(tokens) and _is_number(tokens[pos + 1]):
+            inner, pos = float(tokens[pos + 1]), pos + 2  # the sqrt5 shorthand
+        elif pos + 1 < len(tokens) and tokens[pos + 1] == "(":
+            inner, pos = _parse_atom(tokens, pos + 1)
         else:
-            raise ExpressionError("sqrt expects a number or a parenthesized expression")
-        if inner < 0.0:
-            raise ExpressionError(f"sqrt of a negative value: {inner!r}")
-        return math.sqrt(inner), pos
+            raise ExpressionError(f"{token} expects a parenthesized expression")
+        try:
+            return _FUNCTIONS[token](inner), pos
+        except ValueError:  # sqrt of a negative value, sin or cos of an infinite one
+            raise ExpressionError(f"{token} of {inner!r} is undefined") from None
+    if token == "pi":
+        return math.pi, pos + 1
     if token == "(":
         value, new_pos = _parse_expr(tokens, pos + 1)
         if new_pos >= len(tokens) or tokens[new_pos] != ")":

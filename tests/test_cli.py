@@ -258,6 +258,19 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--k", "8")
         assert code == 2
 
+    @pytest.mark.parametrize("table", [3, 4])
+    def test_printed_displays_round_trip_through_rho(self, capsys, table):
+        # every rho_display the table prints is a --rho the single check accepts
+        _, out, _ = run_cli(capsys, "verify", "--table", str(table))
+        for check in json.loads(out)["checks"]:
+            code, single, _ = run_cli(
+                capsys,
+                "verify", "--k", str(check["k"]), "--rho", check["rho_display"],
+                "--delta-frac", check["delta_two_pi"], "--n", str(check["N"]),
+            )
+            assert code == 0, check
+            assert json.loads(single)["deviation"] == check["deviation"], check
+
 
 class TestSolve:
     def test_k2_worked_example(self, capsys):
@@ -488,8 +501,14 @@ class TestInputContract:
                  "--epsilon", "0.05"]
                 for rho in ("2", "0", "-1", "nan")
             ),
+            *(
+                ["verify", "--k", "3", f"--rho={rho}", "--delta-frac", "0/1", "--n", "8"]
+                for rho in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "sin(1" + "0" * 400 + ")")
+            ),
+            ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "1/" + "7" * 5000, "--n", "8"],
+            ["solve", "--k", "2", "--case", "k2", "--seed", "1/" + "7" * 5000, "--delta-frac", "2/3"],
         ],
-        ids=lambda argv: " ".join(argv),
+        ids=lambda argv: " ".join(a if len(a) <= 40 else f"{a[:12]}...({len(a)} chars)" for a in argv),
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

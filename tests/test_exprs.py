@@ -27,13 +27,22 @@ class TestParseValue:
              (4.0 - math.sqrt(10.0 + 2.0 * math.sqrt(5.0))) / 4.0),
             ("(2/3)*(1-0.5)", 1.0 / 3.0),
             ("1 - 1/4", 0.75),
+            ("pi", math.pi),
+            ("sin(pi/14)", math.sin(math.pi / 14.0)),
+            ("(1/2)*(1+cos(pi/7))", 0.5 * (1.0 + math.cos(math.pi / 7.0))),
         ],
     )
     def test_values(self, text, expected):
         assert parse_value(text) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "text", ["", "2/", "sqrt", "sqrt(-1)", "1/0", "2**3", "five", "(1+2", "1+2)"]
+        "text",
+        [
+            "", "2/", "sqrt", "sqrt(-1)", "1/0", "2**3", "five", "(1+2", "1+2)",
+            "sin", "cos 1", "sin(1", "2pi", "sin(1" + "0" * 400 + ")",
+            "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1",
+        ],
+        ids=lambda text: text if len(text) <= 40 else f"{text[:12]}...({len(text)} chars)",
     )
     def test_rejects(self, text):
         with pytest.raises(ExpressionError):
@@ -49,7 +58,10 @@ class TestParseFraction:
     def test_reduces(self):
         assert parse_fraction("4/6") == Fraction(2, 3)
 
-    @pytest.mark.parametrize("text", ["1/0", "2.5", "a/b", "1/2/3"])
+    @pytest.mark.parametrize(
+        "text", ["1/0", "2.5", "a/b", "1/2/3", "1/" + "7" * 5000],
+        ids=lambda text: text if len(text) <= 40 else f"{text[:12]}...({len(text)} chars)",
+    )
     def test_rejects(self, text):
         with pytest.raises(ExpressionError):
             parse_fraction(text)

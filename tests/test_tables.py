@@ -1,11 +1,14 @@
 """Fixture integrity and full verification of the published tables."""
 
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cyclewalk import CoinParams, parse_value, power_deviation, verify_table
+from cyclewalk import CoinParams, power_deviation, verify_table
 from cyclewalk.tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -14,6 +17,10 @@ from cyclewalk.tables import (
     TABLE5_ROWS,
     TABLE6_COLUMNS,
 )
+
+TABLES = (TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS, TABLE4_ROWS, TABLE5_ROWS,
+          tuple(TABLE6_COLUMNS.values()))
+GOLDEN_RHOS = Path(__file__).resolve().parent / "golden" / "table_rhos.json"
 
 
 @pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
@@ -82,16 +89,23 @@ def test_spot_rows_present():
     assert all(c.passed and c.n == 60 for c in rows)
 
 
-def test_surd_displays_parse_to_stored_values():
-    rows = TABLE1_ROWS + TABLE2_ROWS + TABLE3_ROWS + TABLE4_ROWS + TABLE5_ROWS
-    checked = 0
-    for row in rows:
-        display = row.rho_display
-        if any(tag in display for tag in ("cos", "sin", "pi")):
-            continue
-        assert parse_value(display) == pytest.approx(row.rho, abs=1e-15), display
-        checked += 1
-    assert checked > 20
+def test_displays_match_sympy_at_50_digits():
+    # every display, trig ones included, against the exact value; 2 ulp of 1
+    # is the scale of the terms: cancellation as in 1-cos(pi/14) leaves the
+    # value itself up to 6 of its own ulps from the exact one
+    sympy = pytest.importorskip("sympy")
+    for row in (row for rows in TABLES for row in rows):
+        text = re.sub(r"sqrt(\d+)", r"sqrt(\1)", row.rho_display)
+        exact = sympy.sympify(text, rational=True).evalf(50)
+        assert abs(sympy.Float(row.rho, 50) - exact) <= 2 * math.ulp(1.0), row.rho_display
+
+
+def test_rhos_match_the_golden_bits():
+    # (rho_display, rho.hex()) of every row and Table 6 column, in order
+    golden = json.loads(GOLDEN_RHOS.read_text())
+    assert sorted(golden) == [str(n) for n in range(1, 7)]
+    for n, rows in enumerate(TABLES, 1):
+        assert [[row.rho_display, row.rho.hex()] for row in rows] == golden[str(n)], n
 
 
 def test_table6_column_symmetry():
