@@ -130,10 +130,7 @@ def _initial_cycle_state(label: str, k: int) -> WalkerState:
     values = _parse_complex_list(label)
     if len(values) != 2 * k:
         raise CliError(2, f"explicit state needs {2 * k} amplitudes, got {len(values)}")
-    try:
-        return WalkerState(k, np.array(values))
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    return WalkerState(k, np.array(values))
 
 
 def _initial_line_state(label: str) -> dict:
@@ -149,9 +146,11 @@ def _initial_line_state(label: str) -> dict:
 
 def _parse_complex_list(text: str) -> list[complex]:
     try:
-        return [complex(part.strip().replace("i", "j")) for part in text.split(",")]
+        values = [complex(part.strip().replace("i", "j")) for part in text.split(",")]
     except ValueError as exc:
         raise CliError(2, f"cannot parse amplitude list {text!r}: {exc}") from exc
+    _require(np.isfinite(values).all(), f"amplitudes must be finite, got {text!r}")
+    return values
 
 
 def _cycle_steps(state: WalkerState, op, steps: int):
@@ -166,14 +165,17 @@ def _cycle_steps(state: WalkerState, op, steps: int):
 def cmd_simulate(args) -> int:
     _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
     params, _ = _coin_params(args)
-    if args.line:
-        positions, tables = line_steps(_initial_line_state(args.initial), params, args.steps)
-    elif args.k is None:
-        raise CliError(2, "--k is required unless --line is given")
-    else:
-        state = _initial_cycle_state(args.initial, args.k)
-        op = build_walk_operator(args.k, params)
-        positions, tables = range(args.k), _cycle_steps(state, op, args.steps)
+    try:
+        if args.line:
+            positions, tables = line_steps(_initial_line_state(args.initial), params, args.steps)
+        elif args.k is None:
+            raise CliError(2, "--k is required unless --line is given")
+        else:
+            state = _initial_cycle_state(args.initial, args.k)
+            op = build_walk_operator(args.k, params)
+            positions, tables = range(args.k), _cycle_steps(state, op, args.steps)
+    except ValueError as exc:  # an explicit initial state that is not normalized
+        raise CliError(1, str(exc)) from exc
     start, step, row, sep, end = _TABLE_FORMATS[args.out]
     # amplitude vectors are position-major with the coin index fastest
     rows = [row.format(pos, coin) for pos in map(int, positions) for coin in (0, 1)]

@@ -5,11 +5,13 @@ an N-th root of unity.  This module reconstructs eigenphases as reduced
 fractions, combines their denominators through an LCM, and certifies
 candidate periods by Fourier-block powering: every 2x2 symbol is raised to
 the N-th power through its eigenphases and one inverse FFT gives the first
-block column of U^N, O(k log k) for any N.
+block column of U^N, O(k log k) for any N.  `certify` turns the candidates of
+every seed search and rho edge into certificates, a bounded chunk per engine pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ __all__ = [
     "PHASE_RECONSTRUCTION_TOL",
     "UNDEFINED_DENOMINATOR_TOL",
     "RevivalCertificate",
+    "certify",
     "power_deviation",
     "power_deviations",
     "reconstruct_fraction",
@@ -39,7 +42,7 @@ PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
 
-#: Fourier blocks per engine pass, in `power_deviations` and the seed searches; bounds memory
+#: Fourier blocks per engine pass in `certify`; bounds its memory
 _CHUNK_BLOCKS = 2048
 
 #: float-error allowance of the proof test in `_proved_fractions`: the test can
@@ -94,15 +97,12 @@ def _proved_fractions(x: np.ndarray, max_n: int):
 
 
 def power_deviations(k: int, rho, delta: float, n) -> np.ndarray:
-    """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta)."""
+    """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta),
+    in one engine pass whose memory grows with the number of coins."""
     rho, n = np.asarray(rho, dtype=float).reshape(-1, 1), np.asarray(n).reshape(-1, 1)
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
-    out = np.empty(len(rho))
-    rows = max(1, _CHUNK_BLOCKS // k)
-    for i in range(0, len(rho), rows):
-        out[i : i + rows] = _deviation(k, rho[i : i + rows], delta, n[i : i + rows])
-    return out
+    return _deviation(k, rho, delta, n)
 
 
 def _deviation(k: int, rho, delta: float, n):
@@ -174,6 +174,25 @@ class RevivalCertificate:
     @property
     def params(self) -> CoinParams:
         return CoinParams.from_delta(self.rho, self.delta % TWO_PI)
+
+
+def certify(k: int, delta: float, candidates, also_k=(), **fields) -> list[RevivalCertificate]:
+    """Certificates of (rho, N, numerators over N) candidates, read lazily, on the k-cycle
+    and the also_k cycles (the largest deviation counts), with `fields` on each; an exact
+    certificate that misses I raises.  One engine pass per chunk and cycle."""
+    rows = max(1, _CHUNK_BLOCKS // max((k, *also_k)))
+    candidates, out = iter(candidates), []
+    while chunk := list(itertools.islice(candidates, rows)):
+        rho, n, _ = zip(*chunk)
+        deviations = power_deviations(k, rho, delta, n)
+        for c in also_k:
+            deviations = np.maximum(deviations, power_deviations(c, rho, delta, n))
+        out += [
+            RevivalCertificate(k=k, N=n, rho=rho, delta=delta, numerators=numerators,
+                               max_deviation=deviation, **fields)
+            for (rho, n, numerators), deviation in zip(chunk, deviations.tolist())
+        ]
+    return out
 
 
 def revival_period(

@@ -9,22 +9,21 @@ blocks exactly, in `Fraction`s.  A seed fraction s puts the eigenphase
 
     rho = (1 - cos 2*pi*(2*s - d)) / (1 - cos 2*pi*x),
 
-and every seed of its companion class (`companion_fractions`) gives the same
-weight.  A full revival needs one class per form, all at one rho in (0, 1):
-`enumerate_seeded` scans the classes of the seeds up to a denominator bound,
-keeps every class for one form and joins the two weight lists for two, adds
-the degenerate blocks' constant fractions and takes N as the LCM of all
+and every seed of its companion class (s, s + 1/2, d - s, d - s + 1/2) gives
+the same weight.  A full revival needs one class per form, all at one rho in
+(0, 1): `enumerate_seeded` scans the classes of the seeds up to a denominator
+bound, keeps every class for one form and joins the two weight lists for two,
+adds the degenerate blocks' constant fractions and takes N as the LCM of all
 denominators, all in integers (seed p/q at d = u/v is in the class
-min(t, qv - t)/(qv), t = (2pv - uq) mod qv, each generator a numerator over
-N).  The candidates of one (k, d) are built lazily and certified a chunk at
-a time, one batched engine pass (`revival.power_deviations`) per cycle and
-chunk.
+min(t, qv - t)/(qv), t = (2pv - uq) mod qv; each fraction a reduced
+(num, den) pair, each generator a numerator over N).  The candidates of one
+(k, d) are built lazily and handed to `revival.certify`; `solve_approximate`
+completes its fractions with the same integer rules.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +33,8 @@ import numpy as np
 from .revival import (
     CERTIFICATION_TOL,
     UNDEFINED_DENOMINATOR_TOL,
-    _CHUNK_BLOCKS,
     RevivalCertificate,
-    _deviation,
+    certify,
     power_deviation,
     reconstruct_fraction,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "APPROX_DENOMINATOR_CAP",
     "APPROX_PERIOD_CAP",
     "SolutionFamily",
-    "companion_fractions",
-    "constant_block_fractions",
     "enumerate_seeded",
     "solve_approximate",
     "solve_rho_edge",
@@ -94,10 +90,16 @@ def weight_forms(
     point x in (0, 1/2], ascending, with the blocks l whose 2*l/k + d is
     +-x (mod 1), and the degenerate blocks, where 2*l/k + d is an integer.
     """
+    u, v = Fraction(delta_two_pi).as_integer_ratio()
+    forms, degenerate = _form_points(k, u, v)
+    return {Fraction(x, k * v): blocks for x, blocks in forms.items()}, degenerate
+
+
+def _form_points(k: int, u: int, v: int) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+    """`weight_forms` at d = u/v in integers: each point x stands for x/(k*v)."""
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
-    u, v = Fraction(delta_two_pi).as_integer_ratio()
-    # in units of 1/(k*v): x_l = (2*l*v + u*k) / (k*v)
+    # x_l = (2*l*v + u*k) / (k*v)
     turn = k * v
     forms: dict[int, list[int]] = {}
     degenerate = []
@@ -108,7 +110,7 @@ def weight_forms(
             degenerate.append(l)
         else:
             forms.setdefault(x, []).append(l)
-    return {Fraction(x, turn): tuple(forms[x]) for x in sorted(forms)}, tuple(degenerate)
+    return {x: tuple(forms[x]) for x in sorted(forms)}, tuple(degenerate)
 
 
 def _weight(num: int, den: int, form_den: float) -> float:
@@ -127,39 +129,49 @@ def weight(seed: Fraction, delta_two_pi: Fraction, x: Fraction) -> float:
     return _weight(*y, 1.0 - math.cos(TWO_PI * float(x)))
 
 
+def _reduced(nums, turn: int) -> list[tuple[int, int]]:
+    """num/turn (mod 1) for each num, as reduced (num, den) pairs."""
+    return [(num % turn // g, turn // g) for num in nums for g in (math.gcd(num, turn),)]
+
+
 def _companion_pairs(p: int, q: int, u: int, v: int) -> list[tuple[int, int]]:
-    """s, s + 1/2, d - s, d - s + 1/2 (mod 1) for s = p/q, d = u/v, as reduced (num, den)."""
+    """The x with cos(4*pi*x - delta) == cos(4*pi*s - delta) for s = p/q, d = u/v:
+    s, s + 1/2, d - s, d - s + 1/2 (mod 1)."""
     turn, half, seed, delta = 2 * q * v, q * v, 2 * p * v, 2 * u * q
-    nums = [num % turn for num in (seed, seed + half, delta - seed, delta - seed + half)]
-    return [(num // math.gcd(num, turn), turn // math.gcd(num, turn)) for num in nums]
+    return _reduced((seed, seed + half, delta - seed, delta - seed + half), turn)
 
 
-def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fraction]:
-    """All x in [0, 1) with cos(4*pi*x - delta) == cos(4*pi*seed - delta), exactly."""
-    ratios = Fraction(seed).as_integer_ratio() + Fraction(delta_two_pi).as_integer_ratio()
-    return frozenset(Fraction(*pair) for pair in _companion_pairs(*ratios))
+def _degenerate_pairs(k: int, l: int) -> list[tuple[int, int]]:
+    """Eigenphase fractions -l/k and -l/k + 1/2 (mod 1) of a degenerate block."""
+    return _reduced((-2 * l, k - 2 * l), 2 * k)
 
 
-def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
-    """Eigenphase fractions {-l/k, -l/k + 1/2} (mod 1) of a degenerate block."""
-    base = Fraction(-l, k) % 1
-    return frozenset((base, (base + Fraction(1, 2)) % 1))
+def _period(pairs, max_n: int | None = None) -> tuple[int, tuple[int, ...]] | None:
+    """(N, numerators over N) of reduced (num, den) pairs, N their LCM; None above max_n."""
+    n = math.lcm(*(den for _, den in pairs))
+    if max_n is not None and n > max_n:
+        return None
+    return n, tuple(sorted({num * (n // den) for num, den in pairs}))
 
 
-def _certified(k, dtp, tag, candidates, also_k=()) -> list[RevivalCertificate]:
-    """Certificates of (rho, N, numerators) candidates: one engine pass per chunk and cycle."""
-    delta, out = TWO_PI * float(dtp), []
-    rows = max(1, _CHUNK_BLOCKS // max((k, *also_k)))
-    candidates = iter(candidates)
-    while chunk := list(itertools.islice(candidates, rows)):
-        rho, n = (np.array([c[i] for c in chunk])[:, None] for i in (0, 1))
-        deviations = np.max([_deviation(c, rho, delta, n) for c in (k, *also_k)], 0)
-        out += [
-            RevivalCertificate(k=k, N=n, rho=rho, delta=delta, numerators=numerators,
-                               max_deviation=deviation, case_tag=tag, delta_two_pi=dtp)
-            for (rho, n, numerators), deviation in zip(chunk, deviations.tolist())
-        ]
-    return out
+def _sides(xs, seeds, u: int, v: int) -> list[list[tuple[float, float, int, int]]]:
+    """Per form point x, (rho, seed value, p, q) of the first seed of each companion class
+    y = min(t, 1 - t), t = 2*p/q - u/v (mod 1), with 0 < y < x (rho in (0, 1)), ascending
+    in rho, then seed; y and x are compared in integers as (num, den) pairs."""
+    classes: dict[tuple[int, int], tuple[int, int]] = {}
+    for p, q in seeds:
+        turn = q * v
+        t = min((2 * p * v - u * q) % turn, (u * q - 2 * p * v) % turn)
+        g = math.gcd(t, turn)
+        classes.setdefault((t // g, turn // g), (p, q))
+    sides = []
+    for x in xs:
+        form_den = 1.0 - math.cos(TWO_PI * (x[0] / x[1]))
+        sides.append(sorted(
+            (_weight(2 * p * v - u * q, q * v, form_den), p / q, p, q)
+            for (num, den), (p, q) in classes.items() if 0 < num and num * x[1] < x[0] * den
+        ))
+    return sides
 
 
 def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
@@ -184,22 +196,24 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         first = np.arange(k) * (n // k)
         second = (first + u * (n // v) + n // 2) % n
         numerators, tag = tuple(np.unique([first, second]).tolist()), "rho1"
-    return _certified(k, uv, tag, [(float(edge), n, numerators)])[0]
+    return certify(k, TWO_PI * float(uv), [(float(edge), n, numerators)],
+                   case_tag=tag, delta_two_pi=uv)[0]
 
 
 def _search_plan(k: int, dtp: Fraction):
-    """(form points, degenerate-block (num, den) pairs, case tag) of a seed search."""
+    """(form points x as (num, den), degenerate-block (num, den) pairs, case tag) of a seed search."""
     if not 0 <= dtp < 1:
         raise ValueError(f"delta fraction must lie in [0, 1), got {dtp}")
-    forms, degenerate = weight_forms(k, dtp)
+    u, v = dtp.as_integer_ratio()
+    forms, degenerate = _form_points(k, u, v)
     if not 1 <= len(forms) <= 2:
         raise ValueError(
             f"k={k} at delta={dtp}*2*pi has {len(forms)} weight forms; "
             "seed searches need one or two"
         )
-    constants = {f.as_integer_ratio() for l in degenerate for f in constant_block_fractions(k, l)}
+    constants = {pair for l in degenerate for pair in _degenerate_pairs(k, l)}
     tag = _SINGLE_FORM_TAGS[k] if len(forms) == 1 else "two_form"
-    return tuple(forms), tuple(constants), tag
+    return tuple((x, k * v) for x in forms), tuple(constants), tag
 
 
 def _candidates(dtp, constants, matches, max_n=None):
@@ -207,9 +221,8 @@ def _candidates(dtp, constants, matches, max_n=None):
     u, v = dtp.as_integer_ratio()
     for rho, seeds in matches:
         pairs = [*constants, *(pair for p, q in seeds for pair in _companion_pairs(p, q, u, v))]
-        n = math.lcm(*(den for _, den in pairs))
-        if max_n is None or n <= max_n:
-            yield rho, n, tuple(sorted({num * (n // den) for num, den in pairs}))
+        if period := _period(pairs, max_n):
+            yield rho, *period
 
 
 def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
@@ -227,14 +240,16 @@ def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCerti
         raise ValueError(
             f"k={k} at delta={dtp}*2*pi has two weight forms; one seed cannot fill both"
         )
-    rho, y = weight(seed, dtp, xs[0]), (2 * seed - dtp) % 1
-    if not 0 < min(y, 1 - y) < xs[0]:
+    (p, q), (u, v) = seed.as_integer_ratio(), dtp.as_integer_ratio()
+    (side,) = _sides(xs, [(p, q)], u, v)
+    if not side:
         raise ValueError(
-            f"seed {seed} with delta={dtp}*2*pi gives rho={rho!r}, "
+            f"seed {seed} with delta={dtp}*2*pi gives rho={weight(seed, dtp, Fraction(*xs[0]))!r}, "
             "outside the open interval (0, 1)"
         )
-    candidates = _candidates(dtp, constants, [(rho, (seed.as_integer_ratio(),))])
-    return _certified(k, dtp, tag, candidates, _ALSO_VERIFIED.get(k, ()))[0]
+    candidates = _candidates(dtp, constants, [(side[0][0], ((p, q),))])
+    return certify(k, TWO_PI * float(dtp), candidates, _ALSO_VERIFIED.get(k, ()),
+                   case_tag=tag, delta_two_pi=dtp)[0]
 
 
 def enumerate_seeded(
@@ -255,23 +270,8 @@ def enumerate_seeded(
     dtp = Fraction(delta_two_pi)
     xs, constants, tag = _search_plan(k, dtp)
     u, v = dtp.as_integer_ratio()
-    classes: dict[tuple[int, int], tuple[int, int]] = {}
-    for q in range(2, max_den + 1):
-        turn = q * v
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                t = min((2 * p * v - u * q) % turn, (u * q - 2 * p * v) % turn)
-                g = math.gcd(t, turn)
-                classes.setdefault((t // g, turn // g), (p, q))
-    sides = []
-    for x in xs:
-        form_den = 1.0 - math.cos(TWO_PI * float(x))
-        # (rho, seed value, p, q): ties in rho go to the smaller seed
-        sides.append(sorted(
-            (_weight(2 * p * v - u * q, q * v, form_den), p / q, p, q)
-            for (num, den), (p, q) in classes.items()
-            if 0 < num and num * x.denominator < x.numerator * den
-        ))
+    seeds = ((p, q) for q in range(2, max_den + 1) for p in range(1, q) if math.gcd(p, q) == 1)
+    sides = _sides(xs, seeds, u, v)
     if len(sides) == 1:
         matches = ((rho, ((p, q),)) for rho, _, p, q in sides[0])
     else:
@@ -284,7 +284,8 @@ def enumerate_seeded(
                 matches.append((rho, ((p, q), second[i][2:])))
                 i += 1
     candidates = _candidates(dtp, constants, matches, max_n)
-    certificates = _certified(k, dtp, tag, candidates, _ALSO_VERIFIED.get(k, ()))
+    certificates = certify(k, TWO_PI * float(dtp), candidates, _ALSO_VERIFIED.get(k, ()),
+                           case_tag=tag, delta_two_pi=dtp)
     certificates.sort(key=lambda c: (c.N, c.rho))
     return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
 
@@ -315,8 +316,8 @@ def _band_intervals(
     return intervals
 
 
-def _smallest_fraction_in(intervals, max_den: int) -> Fraction | None:
-    """Smallest-denominator reduced fraction inside any interval (ties: smallest value)."""
+def _smallest_fraction_in(intervals, max_den: int) -> tuple[int, int] | None:
+    """Smallest-denominator reduced fraction (m, q) inside any interval (ties: smallest value)."""
     for q in range(1, max_den + 1):
         hits = []
         for a, b in intervals:
@@ -324,7 +325,7 @@ def _smallest_fraction_in(intervals, max_den: int) -> Fraction | None:
                 if math.gcd(m, q) == 1:
                     hits.append(m % q)
         if hits:
-            return Fraction(min(hits), q)
+            return min(hits), q
     return None
 
 
@@ -360,20 +361,20 @@ def solve_approximate(
     delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
     params = CoinParams.from_delta(rho, delta_value)
 
-    fractions: set[Fraction] = set()
+    pairs: set[tuple[int, int]] = set()  # reduced (num, den) fractions
     if dtp is not None:
-        forms, degenerate = weight_forms(k, dtp)
-        for l in degenerate:
-            fractions |= constant_block_fractions(k, l)
+        u, v = dtp.as_integer_ratio()
+        forms, degenerate = _form_points(k, u, v)
+        pairs.update(pair for l in degenerate for pair in _degenerate_pairs(k, l))
         for x in forms:
-            form_den = 1.0 - math.cos(TWO_PI * float(x))
+            form_den = 1.0 - math.cos(TWO_PI * (x / (k * v)))
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
             if intervals is None:
                 return None
             picked = _smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
             if picked is None:
                 return None
-            fractions |= companion_fractions(picked, dtp)
+            pairs.update(_companion_pairs(*picked, u, v))
     else:
         # irrational delta: every eigenphase needs its own fraction; row l of
         # the spectrum is block l's pair, and each value is matched on its own
@@ -381,7 +382,7 @@ def solve_approximate(
         for l in range(k):
             form_den = 1.0 - math.cos(4.0 * math.pi * l / k + delta_value)
             if abs(form_den) < UNDEFINED_DENOMINATOR_TOL:
-                fractions |= constant_block_fractions(k, l)
+                pairs.update(_degenerate_pairs(k, l))
                 continue
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
             if intervals is None:
@@ -396,13 +397,14 @@ def solve_approximate(
                 picked = _smallest_fraction_in(near or intervals, APPROX_DENOMINATOR_CAP)
                 if picked is None:
                     return None
-                fractions.add(picked)
+                pairs.add(picked)
 
-    n = math.lcm(*(f.denominator for f in fractions))
-    if n > APPROX_PERIOD_CAP:
+    if (period := _period(pairs, APPROX_PERIOD_CAP)) is None:
         return None
+    n, numerators = period
     deviation = power_deviation(k, params, n)
-    return RevivalCertificate.from_generators(
-        fractions, k=k, N=n, rho=float(rho), delta=delta_value, max_deviation=deviation,
-        case_tag="approximate", delta_two_pi=dtp, exact=bool(deviation < CERTIFICATION_TOL),
+    return RevivalCertificate(
+        k=k, N=n, rho=float(rho), delta=delta_value, numerators=numerators,
+        max_deviation=deviation, case_tag="approximate", delta_two_pi=dtp,
+        exact=bool(deviation < CERTIFICATION_TOL),
     )

@@ -91,17 +91,19 @@ def build_special_state(subset: DeMoivreSubspace, coefficients) -> WalkerState:
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if coeffs.shape != subset.values.shape:
         raise ValueError(f"expected {subset.values.size} coefficients, got {coeffs.size}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"coefficients must be finite, got {coeffs.tolist()}")
     spectrum = np.zeros((subset.k, 2), dtype=np.complex128)
     np.add.at(spectrum, subset.blocks, coeffs[:, None] * subset.coins)
     combo = np.fft.fft(spectrum, axis=0).reshape(-1) / np.sqrt(subset.k)
     norm = float(np.linalg.norm(combo))
-    if norm < 1e-12:
-        raise ValueError("coefficients combine to the zero vector")
+    if not norm >= 1e-12:  # so that NaN fails
+        raise ValueError(f"coefficients combine to a vector of norm {norm!r}")
     state = WalkerState(subset.k, combo / norm)
 
     op = build_walk_operator(subset.k, subset.params)
     revived = evolve(state, op, subset.n_target)
     gap = float(np.linalg.norm(revived.amplitudes - state.amplitudes))
-    if gap >= subset.tol + 1e-12:
+    if not gap < subset.tol + 1e-12:
         raise RuntimeError(f"constructed state misses its revival: |U^N psi - psi| = {gap:.3e}")
     return state

@@ -209,7 +209,7 @@ class WalkerState:
                 f"expected {2 * self.k} amplitudes for k={self.k}, got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -297,7 +297,7 @@ def line_steps(
             raise ValueError(f"position {pos}: expected an (up, down) pair")
         amps[pos - lo] = pair
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
         raise ValueError(f"initial state is not normalized: sum |a|^2 = {norm_sq!r}")
     positions = np.arange(lo, hi + 1)
     positions.setflags(write=False)

@@ -6,9 +6,11 @@ each 2x2 block and the paper's scalar square-root formula for its eigenvalue
 pair, the dense full-space eigenvectors of an eigenbasis, and the per-phase
 reconstruction loop and Fraction-built rho=1 generators that the batched
 revival path must reproduce exactly, the per-candidate Fraction seed
-search that the integer scan and batched certification must reproduce, and
-the sort/dedupe/LCM normalisation of Fraction generators that integer
-numerators over N must reproduce.
+search that the integer scan and batched certification must reproduce, the
+sort/dedupe/LCM normalisation of Fraction generators that integer
+numerators over N must reproduce, and the Fraction-set approximate solver
+(with its companion and degenerate-block fraction sets) that the integer
+(num, den) pairs must reproduce.
 The row-list `simulate` emitter, with its preallocated line-walk history,
 is the reference that the streamed emitter must match byte for byte.
 """
@@ -29,17 +31,19 @@ import numpy as np
 from cyclewalk import cli
 from cyclewalk.revival import (
     CERTIFICATION_TOL,
+    UNDEFINED_DENOMINATOR_TOL,
     RevivalCertificate,
     power_deviation,
     reconstruct_fraction,
 )
 from cyclewalk.solver import (
     _ALSO_VERIFIED,
+    APPROX_DENOMINATOR_CAP,
+    APPROX_PERIOD_CAP,
     TWO_FORM_MATCH_TOL,
     SolutionFamily,
+    _band_intervals,
     _search_plan,
-    companion_fractions,
-    constant_block_fractions,
     weight,
     weight_forms,
 )
@@ -253,6 +257,82 @@ def _canonical(x: Fraction) -> Fraction:
     return min(x, 1 - x)
 
 
+def companion_fractions(seed: Fraction, delta_two_pi: Fraction) -> frozenset[Fraction]:
+    """All x in [0, 1) with cos(4*pi*x - delta) == cos(4*pi*seed - delta): s, s + 1/2,
+    d - s and d - s + 1/2 (mod 1), by Fraction arithmetic."""
+    s, d, half = Fraction(seed), Fraction(delta_two_pi), Fraction(1, 2)
+    return frozenset(x % 1 for x in (s, s + half, d - s, d - s + half))
+
+
+def constant_block_fractions(k: int, l: int) -> frozenset[Fraction]:
+    """Eigenphase fractions {-l/k, -l/k + 1/2} (mod 1) of a degenerate block."""
+    base = Fraction(-l, k) % 1
+    return frozenset((base, (base + Fraction(1, 2)) % 1))
+
+
+def smallest_fraction_in(intervals, max_den: int) -> Fraction | None:
+    """Smallest-denominator reduced fraction inside any interval (ties: smallest value)."""
+    for q in range(1, max_den + 1):
+        hits = []
+        for a, b in intervals:
+            for m in range(math.ceil(a * q), math.floor(b * q) + 1):
+                if math.gcd(m, q) == 1:
+                    hits.append(m % q)
+        if hits:
+            return Fraction(min(hits), q)
+    return None
+
+
+def solve_approximate_fractions(k: int, rho: float, delta, epsilon: float):
+    """`solve_approximate` completing Fraction sets: companion classes for a rational
+    turn, one fraction per eigenphase otherwise, then `from_generators`."""
+    if isinstance(delta, Fraction):
+        dtp = delta % 1
+    else:
+        dtp = reconstruct_fraction(float(delta), max_den=1000, tol=1e-12)
+    delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
+    params = CoinParams.from_delta(rho, delta_value)
+    fractions: set[Fraction] = set()
+    if dtp is not None:
+        forms, degenerate = weight_forms(k, dtp)
+        for l in degenerate:
+            fractions |= constant_block_fractions(k, l)
+        for x in forms:
+            form_den = 1.0 - math.cos(TWO_PI * float(x))
+            intervals = _band_intervals(rho, epsilon, form_den, delta_value)
+            if intervals is None:
+                return None
+            picked = smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
+            if picked is None:
+                return None
+            fractions |= companion_fractions(picked, dtp)
+    else:
+        spectrum = full_spectrum(k, params).reshape(k, 2)
+        for l in range(k):
+            form_den = 1.0 - math.cos(4.0 * math.pi * l / k + delta_value)
+            if abs(form_den) < UNDEFINED_DENOMINATOR_TOL:
+                fractions |= constant_block_fractions(k, l)
+                continue
+            intervals = _band_intervals(rho, epsilon, form_den, delta_value)
+            if intervals is None:
+                return None
+            for value in spectrum[l]:
+                phase = (float(np.angle(value)) / TWO_PI) % 1.0
+                near = [(a, b) for a, b in intervals if a - 1e-9 <= phase <= b + 1e-9]
+                picked = smallest_fraction_in(near or intervals, APPROX_DENOMINATOR_CAP)
+                if picked is None:
+                    return None
+                fractions.add(picked)
+    n = math.lcm(*(f.denominator for f in fractions))
+    if n > APPROX_PERIOD_CAP:
+        return None
+    deviation = power_deviation(k, params, n)
+    return RevivalCertificate.from_generators(
+        fractions, k=k, N=n, rho=float(rho), delta=delta_value, max_deviation=deviation,
+        case_tag="approximate", delta_two_pi=dtp, exact=bool(deviation < CERTIFICATION_TOL),
+    )
+
+
 def reduced_fractions(max_den: int) -> list[Fraction]:
     """All reduced fractions in (0, 1) with denominator <= max_den."""
     out = []
@@ -288,8 +368,10 @@ def seeded_candidates(
     """The seed search in Fraction arithmetic: (case tag, [(rho, N, generator set)]),
     one per match in search order, candidates with N above max_n dropped."""
     dtp = Fraction(delta_two_pi)
-    xs, _, tag = _search_plan(k, dtp)
-    constants = {f for l in weight_forms(k, dtp)[1] for f in constant_block_fractions(k, l)}
+    tag = _search_plan(k, dtp)[2]
+    forms, degenerate = weight_forms(k, dtp)
+    xs = tuple(forms)
+    constants = {f for l in degenerate for f in constant_block_fractions(k, l)}
     classes: dict[Fraction, Fraction] = {}
     for seed in reduced_fractions(max_den):
         classes.setdefault(_canonical(2 * seed - dtp), seed)

@@ -1,5 +1,6 @@
 """The public surface: exported names, where the dense oracles live, and the import path."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -26,6 +27,8 @@ MOVED_TO_ORACLES = (
     "block_formula",
     "eigenvector_matrix",
     "EigenPair",  # the per-pair dense eigenvector; `oracles.eigenvector_matrix` builds them
+    "companion_fractions",  # Fraction twins of the solver's integer (num, den) rules
+    "constant_block_fractions",
 )
 
 
@@ -63,6 +66,30 @@ def test_package_exports_what_the_cli_readme_and_benchmark_use():
 def test_dense_oracles_are_not_in_the_library(module):
     exposed = [name for name in MOVED_TO_ORACLES if hasattr(importlib.import_module(module), name)]
     assert exposed == []
+
+
+def private_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each `from .x import _y` (or `from cyclewalk.x import _y`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("cyclewalk")
+        ):
+            found += [(node.module, a.name) for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # layers reach each other only through public names
+    assert private_imports("from .revival import CERTIFICATION_TOL, _CHUNK_BLOCKS") == [
+        ("revival", "_CHUNK_BLOCKS")
+    ]
+    assert private_imports("from __future__ import annotations") == []
+    found = {
+        path.name: private_imports(path.read_text())
+        for path in sorted((SRC / "cyclewalk").glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_special_keeps_its_self_timed_names():

@@ -90,6 +90,16 @@ class TestSimulate:
         rows = json.loads(out)
         assert rows[0]["step"] == 0 and "prob" in rows[0]
 
+    def test_unnormalized_line_state_exits_1_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclewalk.cli", "simulate", "--line", "--steps", "2",
+             "--initial", "1,1"],
+            env=cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("cyclewalk: ") and proc.stderr.count("\n") == 1
+        assert "normalized" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_unnormalized_explicit_state_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -506,6 +516,12 @@ class TestInputContract:
                 for rho in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "sin(1" + "0" * 400 + ")")
             ),
             ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "1/" + "7" * 5000, "--n", "8"],
+            # non-finite amplitudes and coefficients ("inf" already fails to parse)
+            ["simulate", "--k", "3", "--steps", "2", "--initial", "1,0,0,0,0,nan"],
+            ["simulate", "--line", "--steps", "2", "--initial", "nan,0"],
+            ["simulate", "--line", "--steps", "2", "--initial", "1,inf"],
+            ["special", "--k", "4", "--rho", "(5-sqrt5)/8", "--delta-frac", "0/1", "--period", "5",
+             "--coeffs", "nan,1,1,1"],
             ["solve", "--k", "2", "--case", "k2", "--seed", "1/" + "7" * 5000, "--delta-frac", "2/3"],
         ],
         ids=lambda argv: " ".join(a if len(a) <= 40 else f"{a[:12]}...({len(a)} chars)" for a in argv),

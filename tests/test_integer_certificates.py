@@ -165,6 +165,24 @@ def test_hot_paths_build_no_fraction_per_candidate(monkeypatch):
     assert found[0] is not None and len(found[0].numerators) == 1024
 
 
+@pytest.mark.parametrize(
+    "delta, epsilon, ks",
+    [(Fraction(1, 3), 0.02, (2, 6, 16)), (2.0 * math.pi / 3.0, 0.02, (2, 6, 16)),
+     (1.0, 0.1, (2, 3, 4))],  # the irrational branch: one picked fraction per eigenphase
+    ids=str,
+)
+def test_approximate_builds_fractions_only_to_read_delta(monkeypatch, delta, epsilon, ks):
+    # the completion works on (num, den) pairs, so the count is that of reading delta,
+    # the same for every k; a None certificate would have completed nothing
+    found = []
+
+    def solve(k):
+        found.append(solve_approximate(k, 0.37, delta, epsilon))
+
+    counts = {fractions_made(monkeypatch, lambda: solve(k)) for k in ks}
+    assert len(counts) == 1 and None not in found
+
+
 @pytest.mark.parametrize("max_n", [12, 10**6, 10**12])
 def test_revival_period_of_a_rho_one_coin(max_n):
     cert = revival_period(4, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=max_n)

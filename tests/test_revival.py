@@ -20,8 +20,7 @@ from cyclewalk import (
     weight_forms,
 )
 from cyclewalk.revival import reconstruct_fraction
-from cyclewalk.solver import constant_block_fractions
-from oracles import eigenvalues_closed_form, walk_matrix
+from oracles import constant_block_fractions, eigenvalues_closed_form, walk_matrix
 
 RNG = np.random.default_rng(8675309)
 

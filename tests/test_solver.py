@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclewalk import (
     enumerate_seeded,
@@ -17,10 +19,18 @@ from cyclewalk import (
     weight_forms,
 )
 from cyclewalk import revival, walk
-from cyclewalk.solver import companion_fractions, constant_block_fractions
+from cyclewalk.cli import certificate_to_json
+from cyclewalk.revival import reconstruct_fraction
+from cyclewalk.solver import _companion_pairs, _degenerate_pairs
 from cyclewalk.spectral import principal_phase
 from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
-from oracles import enumerate_seeded_per_candidate, reduced_fractions
+from oracles import (
+    companion_fractions,
+    constant_block_fractions,
+    enumerate_seeded_per_candidate,
+    reduced_fractions,
+    solve_approximate_fractions,
+)
 
 RNG = np.random.default_rng(424242)
 
@@ -29,13 +39,8 @@ SQRT5 = math.sqrt(5.0)
 
 class TestCompanions:
     def test_worked_example_set(self):
-        got = companion_fractions(Fraction(2, 5), Fraction(2, 3))
-        assert got == {
-            Fraction(4, 15),
-            Fraction(2, 5),
-            Fraction(23, 30),
-            Fraction(9, 10),
-        }
+        got = set(_companion_pairs(2, 5, 2, 3))
+        assert got == {(4, 15), (2, 5), (23, 30), (9, 10)}
 
     def test_members_share_the_class(self):
         for _ in range(50):
@@ -44,9 +49,11 @@ class TestCompanions:
             v = int(RNG.integers(1, 12))
             u = int(RNG.integers(0, v))
             seed, dtp = Fraction(m, n), Fraction(u, v)
-            cls = companion_fractions(seed, dtp)
+            cls = set(_companion_pairs(*seed.as_integer_ratio(), *dtp.as_integer_ratio()))
+            # reduced (num, den) pairs of the Fraction reference
+            assert cls == {f.as_integer_ratio() for f in companion_fractions(seed, dtp)}
             for member in cls:
-                assert companion_fractions(member, dtp) == cls
+                assert set(_companion_pairs(*member, *dtp.as_integer_ratio())) == cls
 
     def test_undefined_blocks_exact(self):
         def degenerate(k, dtp):
@@ -61,8 +68,14 @@ class TestCompanions:
         assert degenerate(8, Fraction(1, 4)) == (3, 7)
 
     def test_constant_fractions(self):
-        assert constant_block_fractions(3, 0) == {Fraction(0), Fraction(1, 2)}
-        assert constant_block_fractions(4, 1) == {Fraction(3, 4), Fraction(1, 4)}
+        assert set(_degenerate_pairs(3, 0)) == {(0, 1), (1, 2)}
+        assert set(_degenerate_pairs(4, 1)) == {(3, 4), (1, 4)}
+
+    def test_degenerate_pairs_match_the_fraction_reference(self):
+        for k in range(2, 65):
+            for l in range(k):
+                expected = {f.as_integer_ratio() for f in constant_block_fractions(k, l)}
+                assert set(_degenerate_pairs(k, l)) == expected, (k, l)
 
 
 def float_forms(k, dtp):
@@ -493,3 +506,32 @@ class TestApproximate:
             solve_approximate(3, 0.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
             solve_approximate(3, 0.5, 0.0, 0.0)
+
+
+rational_turns = st.integers(1, 12).flatmap(
+    lambda v: st.integers(0, v - 1).map(lambda u: Fraction(u, v))
+)
+approximate_deltas = st.one_of(
+    rational_turns,  # exact companion completion
+    rational_turns.map(lambda d: 2.0 * math.pi * float(d)),  # radians read back as a turn
+    st.floats(0.01, 6.28).filter(lambda d: reconstruct_fraction(d, 1000, 1e-12) is None),
+)
+
+
+@example(k=7, rho=0.5, delta=Fraction(0), epsilon=0.02)
+@example(k=3, rho=2.0 / 3.0, delta=0.0, epsilon=1e-5)
+@example(k=5, rho=0.3, delta=1.0, epsilon=0.02)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 16),
+    rho=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    delta=approximate_deltas,
+    epsilon=st.sampled_from([0.02, 1e-3, 1e-5]),
+)
+def test_approximate_matches_the_fraction_reference(k, rho, delta, epsilon):
+    new = solve_approximate(k, rho, delta, epsilon)
+    old = solve_approximate_fractions(k, rho, delta, epsilon)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert certificate_to_json(new) == certificate_to_json(old)
+        assert new.exact == old.exact

@@ -165,6 +165,14 @@ class TestBuildSpecialState:
             np.linalg.norm(evolve(state, op, 8).amplitudes - state.amplitudes) < 1e-9
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 1.0), math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        basis = eigenbasis(4, CoinParams(SPECIAL_RHO))
+        subspace = demoivre_subspace(basis, 5)
+        coefficients = [bad] + [1.0] * (len(subspace.values) - 1)
+        with pytest.raises(ValueError):
+            build_special_state(subspace, coefficients)
+
     def test_fidelity_bound(self):
         basis = eigenbasis(4, CoinParams(SPECIAL_RHO))
         subspace = demoivre_subspace(basis, 5)

@@ -13,7 +13,7 @@ from cyclewalk import (
     evolve,
     line_walk,
 )
-from cyclewalk.walk import build_coin
+from cyclewalk.walk import build_coin, line_steps
 from oracles import build_shift_cycle, walk_matrix
 
 RNG = np.random.default_rng(20141104)
@@ -198,6 +198,12 @@ class TestWalkerState:
         with pytest.raises(ValueError):
             WalkerState(2, np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # a NaN norm compares false both ways, so it must fail the check, not pass it
+        with pytest.raises(ValueError):
+            WalkerState(3, np.array([1.0, 0.0, 0.0, 0.0, 0.0, bad]))
+
     def test_position_probabilities(self):
         state = WalkerState(2, np.array([0.6, 0.8j, 0.0, 0.0]))
         assert np.allclose(state.position_probabilities(), [1.0, 0.0])
@@ -256,3 +262,10 @@ class TestLineWalk:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             line_walk({0: (1.0, 1.0)}, HADAMARD, 2)
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (1.0, complex(math.nan, 0.0))])
+    def test_rejects_non_finite_amplitudes(self, pair):
+        with pytest.raises(ValueError):
+            line_steps({0: pair}, HADAMARD, 2)
+        with pytest.raises(ValueError):
+            line_walk({0: pair}, HADAMARD, 2)
