@@ -5,8 +5,8 @@ an N-th root of unity.  This module reconstructs eigenphases as reduced
 fractions, combines their denominators through an LCM, and certifies
 candidate periods by Fourier-block powering: every 2x2 symbol is raised to
 the N-th power through its eigenphases and one inverse FFT gives the first
-block column of U^N, O(k log k) for any N.  `certify` turns the candidates of
-every seed search and rho edge into certificates, a bounded chunk per engine pass.
+block column of U^N, O(k log k) for any N.  `certify` turns the candidates of every
+seed search and rho edge into certificates on their own k-cycle, a bounded chunk per pass.
 """
 
 from __future__ import annotations
@@ -176,17 +176,14 @@ class RevivalCertificate:
         return CoinParams.from_delta(self.rho, self.delta % TWO_PI)
 
 
-def certify(k: int, delta: float, candidates, also_k=(), **fields) -> list[RevivalCertificate]:
-    """Certificates of (rho, N, numerators over N) candidates, read lazily, on the k-cycle
-    and the also_k cycles (the largest deviation counts), with `fields` on each; an exact
-    certificate that misses I raises.  One engine pass per chunk and cycle."""
-    rows = max(1, _CHUNK_BLOCKS // max((k, *also_k)))
+def certify(k: int, delta: float, candidates, **fields) -> list[RevivalCertificate]:
+    """Certificates of (rho, N, numerators over N) candidates, read lazily and measured on the
+    k-cycle, one engine pass per chunk, with `fields` on each; an exact one that misses I raises."""
+    rows = max(1, _CHUNK_BLOCKS // k)
     candidates, out = iter(candidates), []
     while chunk := list(itertools.islice(candidates, rows)):
         rho, n, _ = zip(*chunk)
         deviations = power_deviations(k, rho, delta, n)
-        for c in also_k:
-            deviations = np.maximum(deviations, power_deviations(c, rho, delta, n))
         out += [
             RevivalCertificate(k=k, N=n, rho=rho, delta=delta, numerators=numerators,
                                max_deviation=deviation, **fields)

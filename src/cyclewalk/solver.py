@@ -16,9 +16,10 @@ bound, keeps every class for one form and joins the two weight lists for two,
 adds the degenerate blocks' constant fractions and takes N as the LCM of all
 denominators, all in integers (seed p/q at d = u/v is in the class
 min(t, qv - t)/(qv), t = (2pv - uq) mod qv; each fraction a reduced
-(num, den) pair, each generator a numerator over N).  The candidates of one
-(k, d) are built lazily and handed to `revival.certify`; `solve_approximate`
-completes its fractions with the same integer rules.
+(num, den) pair, each generator a numerator over N).  Candidates are built lazily;
+`revival.certify` measures them on the k-cycle alone (for odd k each 2k-cycle block
+is +-a k-cycle block, so U_k^N = I iff U_2k^N = I at even N, and every seeded N is
+even: s and s + 1/2 are generators).  `solve_approximate` uses the same integer rules.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ APPROX_PERIOD_CAP = 10**6
 TWO_FORM_MATCH_TOL = 1e-10
 
 _SINGLE_FORM_TAGS = {2: "k2_seeded", 3: "k3_family", 4: "k4_family", 6: "k3_family"}
-# U_k^N = I implies U_2k^N = I for odd k, and the k=10 blocks hold the k=5 ones
-_ALSO_VERIFIED = {3: (6,), 5: (10,), 10: (5,)}
 
 
 @dataclass(frozen=True)
@@ -248,8 +247,7 @@ def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCerti
             "outside the open interval (0, 1)"
         )
     candidates = _candidates(dtp, constants, [(side[0][0], ((p, q),))])
-    return certify(k, TWO_PI * float(dtp), candidates, _ALSO_VERIFIED.get(k, ()),
-                   case_tag=tag, delta_two_pi=dtp)[0]
+    return certify(k, TWO_PI * float(dtp), candidates, case_tag=tag, delta_two_pi=dtp)[0]
 
 
 def enumerate_seeded(
@@ -284,8 +282,7 @@ def enumerate_seeded(
                 matches.append((rho, ((p, q), second[i][2:])))
                 i += 1
     candidates = _candidates(dtp, constants, matches, max_n)
-    certificates = certify(k, TWO_PI * float(dtp), candidates, _ALSO_VERIFIED.get(k, ()),
-                           case_tag=tag, delta_two_pi=dtp)
+    certificates = certify(k, TWO_PI * float(dtp), candidates, case_tag=tag, delta_two_pi=dtp)
     certificates.sort(key=lambda c: (c.N, c.rho))
     return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
 
@@ -357,7 +354,7 @@ def solve_approximate(
     else:
         # floats that are exact rational turns (e.g. 0.0) still get the
         # exact companion treatment
-        dtp = reconstruct_fraction(float(delta), max_den=1000, tol=1e-12)
+        dtp = reconstruct_fraction(float(delta) % TWO_PI, max_den=1000, tol=1e-12)
     delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
     params = CoinParams.from_delta(rho, delta_value)
 

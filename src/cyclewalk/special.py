@@ -88,11 +88,14 @@ def build_special_state(subset: DeMoivreSubspace, coefficients) -> WalkerState:
     re-checked against the operator and a violation raises, since it would
     mean the subset was assembled with an inconsistent tolerance.
     """
-    coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
+    coeffs = np.ascontiguousarray(coefficients, dtype=np.complex128).reshape(-1)
     if coeffs.shape != subset.values.shape:
         raise ValueError(f"expected {subset.values.size} coefficients, got {coeffs.size}")
     if not np.isfinite(coeffs).all():
         raise ValueError(f"coefficients must be finite, got {coeffs.tolist()}")
+    # only their ratios matter: scale their parts to at most 1, exactly, by a power of two
+    parts = coeffs.view(np.float64)
+    coeffs = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
     spectrum = np.zeros((subset.k, 2), dtype=np.complex128)
     np.add.at(spectrum, subset.blocks, coeffs[:, None] * subset.coins)
     combo = np.fft.fft(spectrum, axis=0).reshape(-1) / np.sqrt(subset.k)

@@ -208,7 +208,8 @@ class WalkerState:
             raise ValueError(
                 f"expected {2 * self.k} amplitudes for k={self.k}, got {amps.shape[0]}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # an overflow gives inf, which fails below
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
@@ -296,7 +297,8 @@ def line_steps(
         if pair.shape != (2,):
             raise ValueError(f"position {pos}: expected an (up, down) pair")
         amps[pos - lo] = pair
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):  # an overflow gives inf, which fails below
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
         raise ValueError(f"initial state is not normalized: sum |a|^2 = {norm_sq!r}")
     positions = np.arange(lo, hi + 1)

@@ -37,7 +37,6 @@ from cyclewalk.revival import (
     reconstruct_fraction,
 )
 from cyclewalk.solver import (
-    _ALSO_VERIFIED,
     APPROX_DENOMINATOR_CAP,
     APPROX_PERIOD_CAP,
     TWO_FORM_MATCH_TOL,
@@ -289,7 +288,7 @@ def solve_approximate_fractions(k: int, rho: float, delta, epsilon: float):
     if isinstance(delta, Fraction):
         dtp = delta % 1
     else:
-        dtp = reconstruct_fraction(float(delta), max_den=1000, tol=1e-12)
+        dtp = reconstruct_fraction(float(delta) % TWO_PI, max_den=1000, tol=1e-12)
     delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
     params = CoinParams.from_delta(rho, delta_value)
     fractions: set[Fraction] = set()
@@ -414,7 +413,7 @@ def enumerate_seeded_per_candidate(
     certificates = []
     for rho, n, generators in candidates:
         params = CoinParams.from_delta(rho, delta)
-        deviation = max(power_deviation(c, params, n) for c in (k, *_ALSO_VERIFIED.get(k, ())))
+        deviation = power_deviation(k, params, n)
         certificates.append(RevivalCertificate.from_generators(
             generators, k=k, N=n, rho=float(rho), delta=delta, max_deviation=deviation,
             case_tag=tag, delta_two_pi=dtp,

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclewalk.cli import certificate_from_json, certificate_to_json, main
+from cyclewalk.revival import power_deviations
 from oracles import reference_simulate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -100,6 +102,16 @@ class TestSimulate:
         assert proc.stderr.startswith("cyclewalk: ") and proc.stderr.count("\n") == 1
         assert "normalized" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["--k", "2", "--initial", "1e200,0,0,0"],
+                                      ["--line", "--initial", "1e200,0"]])
+    def test_overflowing_state_exits_1_with_one_line(self, capsys, argv):
+        # warnings as errors: pytest's capture would otherwise hide an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--steps", "1", *argv)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("cyclewalk: ") and "normalized" in err
+
     def test_unnormalized_explicit_state_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -152,6 +164,14 @@ def test_solve_golden_bytes(capsys, name):
     code, text, _ = run_cli(capsys, "solve", *SOLVE_GOLDEN[name].split())
     assert code == 0
     assert text == (GOLDEN / f"solve_{name}.jsonl").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
+def test_solve_golden_deviation_is_measured_on_its_own_cycle(name):
+    for line in (GOLDEN / f"solve_{name}.jsonl").read_text().splitlines():
+        r = json.loads(line)
+        own = power_deviations(r["k"], [r["rho"]["value"]], r["delta"]["radians"], [r["N"]])
+        assert r["max_deviation"] == own[0], (r["k"], r["N"], r["rho"]["value"])
 
 
 #: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts
@@ -439,6 +459,23 @@ class TestSpecial:
         assert code == 1
         assert "stationary" in err or "roots of unity" in err
 
+    def test_coefficients_count_only_by_their_ratios(self, capsys):
+        argv = ["special", "--k", "4", "--rho", "(5-sqrt5)/8", "--delta-frac", "0/1",
+                "--period", "5", "--coeffs"]
+        # large, tiny and subnormal coefficients, each beside the state of its ratios
+        same = {"1e200,0,0,0": "1,0,0,0", "1e-200,0,0,0": "1,0,0,0",
+                "1e-310,0,0,0": "1,0,0,0", "1e308,1e308,1e308,1e308": "1,1,1,1"}
+        states = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for coeffs in [*same, "1,0,0,0", "1,1,1,1"]:
+                code, out, err = run_cli(capsys, *argv, coeffs)
+                assert (code, err) == (0, ""), coeffs
+                states[coeffs] = np.array(json.loads(out)["state"])
+            code, out, err = run_cli(capsys, *argv, "0,0,0,0")
+        assert (code, out) == (1, "") and err.count("\n") == 1 and "norm 0.0" in err
+        for coeffs, ratios in same.items():
+            assert np.max(np.abs(states[coeffs] - states[ratios])) < 1e-15, coeffs
 
     # pinned before eigenpairs moved to block space: the period-5 example, every
     # pair kept, the scalar blocks 2 and 6, k=128, and the stationary-only refusal

@@ -218,6 +218,23 @@ class TestPeriodMinimality:
 
 
 class TestDoublingProperty:
+    """For odd k every block of the 2k-cycle is +-a block of the k-cycle, each used twice,
+    so U_k^N = I iff U_2k^N = I at every even N: the paper's k=3 solutions are k=6 ones,
+    and its k=5 and k=10 solutions are each other's, with no second certification pass."""
+
+    @pytest.mark.parametrize("k", range(3, 32, 2))
+    def test_double_cycle_symbols_are_signed_cycle_symbols(self, k):
+        rng = np.random.default_rng(k)
+        params = CoinParams(rng.uniform(0.0, 1.0), *rng.uniform(0.0, math.pi, 2))
+        symbols = build_walk_operator(k, params).symbols
+        doubled = build_walk_operator(2 * k, params).symbols
+        l = np.arange(2 * k)
+        # exp(i*pi*l/k) is w_k^(l/2) for even l and -w_k^((l+k)/2) for odd l
+        partner = np.where(l % 2 == 0, l // 2, (l + k) // 2 % k)
+        sign = np.where(l % 2 == 0, 1.0, -1.0)[:, None, None]
+        assert np.abs(doubled - sign * symbols[partner]).max() < 1e-14
+        assert np.bincount(partner).tolist() == [2] * k
+
     def test_odd_cycles_share_solutions_with_doubles(self):
         certificates = [
             solve_seeded(3, Fraction(0), Fraction(1, 8)),
@@ -227,11 +244,15 @@ class TestDoublingProperty:
             solve_rho_edge(7, Fraction(1, 3), 1),
             solve_rho_edge(9, Fraction(2, 5), 0),
             solve_rho_edge(9, Fraction(2, 5), 1),
+            # and halving: the k=10 two-form solutions revive on k=5
+            *(c for t in range(5) for c in enumerate_seeded(10, Fraction(t, 5), 96).solutions),
         ]
+        assert len(certificates) == 17
         for cert in certificates:
-            assert cert.k in (3, 5, 7, 9)
-            doubled = power_deviation(2 * cert.k, cert.params, cert.N)
-            assert doubled < 1e-9, (cert.k, cert.N, doubled)
+            assert cert.k in (3, 5, 7, 9, 10)
+            partner = cert.k // 2 if cert.k % 2 == 0 else 2 * cert.k
+            deviation = power_deviation(partner, cert.params, cert.N)
+            assert deviation < 1e-9, (cert.k, cert.N, deviation)
 
 
 class TestRevivalCertificate:

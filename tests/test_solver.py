@@ -18,7 +18,7 @@ from cyclewalk import (
     solve_seeded,
     weight_forms,
 )
-from cyclewalk import revival, walk
+from cyclewalk import revival, solver, walk
 from cyclewalk.cli import certificate_to_json
 from cyclewalk.revival import reconstruct_fraction
 from cyclewalk.solver import _companion_pairs, _degenerate_pairs
@@ -131,6 +131,15 @@ class TestRhoEdge:
         cert = solve_rho_edge(2, Fraction(1, 2), 0)
         assert cert.N == 4
         assert power_deviation(2, cert.params, 4) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the deviation grows like N*eps, so this true revival at "
+        "N = 3e11 misses the fixed 1e-9 tolerance (deviation 8.5e-05)",
+    )
+    def test_true_rho1_revival_at_large_n_certifies(self):
+        cert = solve_rho_edge(3, Fraction(1, 10**11), 1)
+        assert cert.N == 3 * 10**11
 
     def test_rejects_bad_edge(self):
         with pytest.raises(ValueError):
@@ -374,8 +383,33 @@ def test_search_certifies_in_one_pass_per_cycle(monkeypatch):
     monkeypatch.setattr(revival, "su2_form", counted_su2_form)
     family = enumerate_seeded(3, Fraction(0), 48)
     assert built == []
-    # k=3 certificates are checked on the k=6 cycle as well, each in one pass
-    assert passes == [(3, len(family.solutions)), (6, len(family.solutions))]
+    # each certificate is measured once, on its own cycle
+    assert passes == [(3, len(family.solutions))]
+
+
+def test_every_seeded_and_edge_period_is_even(monkeypatch):
+    # with the block identity of TestDoublingProperty in test_revival.py, an even N makes
+    # U_k^N = I equivalent to U_2k^N = I for odd k, so one pass on k certifies both cycles:
+    # a seeded N is even because s and s + 1/2 are both generators
+    periods = []
+    certify = solver.certify
+
+    def counted_certify(k, delta, candidates, **fields):
+        candidates = list(candidates)
+        periods.extend(n for _, n, _ in candidates)
+        return certify(k, delta, candidates, **fields)
+
+    monkeypatch.setattr(solver, "certify", counted_certify)
+    for k, dtp in PAPER_SEARCHES:
+        enumerate_seeded(k, dtp, max_den=96)
+    seeded = len(periods)
+    turns = {Fraction(u, v) for v in range(2, 13) for u in range(1, v)}
+    for k in range(2, 33):
+        for uv in turns:
+            solve_rho_edge(k, uv, 0)
+            solve_rho_edge(k, uv, 1)
+    assert seeded > 3000 and len(periods) == seeded + 2 * 31 * len(turns)
+    assert [n for n in periods if n % 2] == []
 
 
 def test_search_memory_holds_one_chunk_of_candidates():
@@ -500,6 +534,12 @@ class TestApproximate:
     def test_irrational_delta_path(self):
         # per-phase fallback: denominators multiply out beyond the cap here
         assert solve_approximate(5, 0.3, 1.0, 0.1) is None
+
+    @pytest.mark.parametrize("delta", [1e15, 1e300])
+    @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3])
+    def test_large_delta_is_read_modulo_one_turn(self, delta, epsilon):
+        cert = solve_approximate(3, 0.5, delta, epsilon)
+        assert cert is None or cert.delta == delta % (2.0 * math.pi)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
