@@ -164,6 +164,8 @@ def _cycle_steps(state: WalkerState, op, steps: int):
 
 def cmd_simulate(args) -> int:
     _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
+    _require(args.delta_frac is None or args.alpha is None and args.beta is None,
+             "--delta-frac sets alpha + beta, so it cannot be combined with --alpha or --beta")
     params, _ = _coin_params(args)
     try:
         if args.line:
@@ -259,8 +261,9 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
     if case == "approx":
         if args.k is None or args.rho is None or args.epsilon is None:
             raise CliError(2, "approx needs --k, --rho and --epsilon")
+        _require((dtp is None) != (args.delta_rad is None),
+                 "approx needs one of --delta-frac and --delta-rad, not both")
         delta = dtp if dtp is not None else args.delta_rad
-        _require(delta is not None, "approx needs --delta-frac or --delta-rad")
         _require(math.isfinite(delta), f"--delta-rad must be finite, got {delta}")
         rho = parse_value(args.rho)
         _require(0 < rho < 1, f"--rho must lie strictly in (0, 1), got {rho}")

@@ -1,12 +1,12 @@
 """Root-of-unity detection for walk spectra and revival certification.
 
-A full revival after N steps means every eigenvalue of the step operator is
-an N-th root of unity.  This module reconstructs eigenphases as reduced
-fractions, combines their denominators through an LCM, and certifies
-candidate periods by Fourier-block powering: every 2x2 symbol is raised to
-the N-th power through its eigenphases and one inverse FFT gives the first
-block column of U^N, O(k log k) for any N.  `certify` turns the candidates of every
-seed search and rho edge into certificates on their own k-cycle, a bounded chunk per pass.
+A full revival after N steps means every eigenvalue of the step operator is an N-th root of
+unity.  This module turns the eigenphases into reduced fractions in one proved
+continued-fraction pass, takes N as the LCM of their denominators, and certifies candidate
+periods by Fourier-block powering: every 2x2 symbol is raised to the N-th power through its
+eigenphases and one inverse FFT gives the first block column of U^N, O(k log k) for any N.
+`certify` turns the candidates of every seed search and rho edge into certificates on their
+own k-cycle, a bounded chunk per pass.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "certify",
     "power_deviation",
     "power_deviations",
-    "reconstruct_fraction",
     "revival_period",
 ]
 
@@ -41,46 +40,30 @@ CERTIFICATION_TOL = 1e-9
 PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
+MAX_POWER = 2**63 - 1  # powers are int64 in the engine; no revival that long certifies
 
 #: Fourier blocks per engine pass in `certify`; bounds its memory
 _CHUNK_BLOCKS = 2048
 
-#: float-error allowance of the proof test in `_proved_fractions`: the test can
-#: pass only when q*max_n < 5e14 and |x - p/q| < 1/2, so p, q and q*max_n are
-#: exact and each of its three roundings errs by at most 1.5 * 2**-53
+#: float-error allowance of the proof test in `_proved_fractions`: q, max_n <= 2**24 and
+#: |x - p/q| < 1/2, so p, q and q*max_n are exact and each of its three roundings errs by
+#: at most 1.5 * 2**-53
 _PROOF_MARGIN = 1e-15
 
-
-def reconstruct_fraction(
-    phase: float,
-    max_den: int = DEFAULT_MAX_DENOMINATOR,
-    tol: float = PHASE_RECONSTRUCTION_TOL,
-) -> Fraction | None:
-    """Express phase/(2*pi) as a reduced fraction in [0, 1) with bounded denominator.
-
-    Uses the continued-fraction best approximation; returns None when no
-    fraction with denominator <= max_den lies within tol of phase/(2*pi).
-    Deterministic in the inputs.
-    """
-    if max_den < 1:
-        raise ValueError(f"max_den must be positive, got {max_den}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    x = (float(phase) / TWO_PI) % 1.0
-    best = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(best)) >= tol:
-        return None
-    return Fraction(best.numerator % best.denominator, best.denominator)
+#: denominator bound of the proofs: for every q <= 2**24 the window 1/(2*q*2**24) - _PROOF_MARGIN
+#: stays above 7.7e-16; no period past about 3.5e6 certifies at CERTIFICATION_TOL, so none is lost
+_PROVABLE_DEN = 2**24
 
 
 def _proved_fractions(x: np.ndarray, max_n: int):
-    """Last float continued-fraction convergent p/q of each x in [0, 1] with q <= max_n.
+    """Last float continued-fraction convergent p/q of each x in [0, 1] with q <= max_n,
+    where max_n is first capped at 2**24 (`_PROVABLE_DEN`).
 
-    `proved` marks |x - p/q| < 1/(2*q*max_n): any other r/s with s <= max_n lies at
-    least 1/(q*s) from p/q, so p/q is Fraction(x).limit_denominator(max_n), a convergent
+    `proved` marks |x - p/q| < 1/(2*q*max_n): any other r/s with s <= max_n lies at least
+    1/(q*s) from p/q, so p/q is Fraction(x).limit_denominator(min(max_n, 2**24)), a convergent
     (Legendre: no semiconvergent step needed), and reduced, its float recurrence exact.
     """
-    max_n = min(max_n, 2**53)  # fits a float; no proof can pass from 5e14 on anyway
+    max_n = min(max_n, _PROVABLE_DEN)
     p0, q0, p, q = (np.full_like(x, v) for v in (0.0, 1.0, 1.0, 0.0))
     rest, live = x, np.ones(x.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -99,6 +82,8 @@ def _proved_fractions(x: np.ndarray, max_n: int):
 def power_deviations(k: int, rho, delta: float, n) -> np.ndarray:
     """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta),
     in one engine pass whose memory grows with the number of coins."""
+    if (top := max(n, default=0)) > MAX_POWER:  # before numpy turns n into floats or objects
+        raise ValueError(f"N={top} exceeds 2**63 - 1, the largest power the engine takes")
     rho, n = np.asarray(rho, dtype=float).reshape(-1, 1), np.asarray(n).reshape(-1, 1)
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
@@ -199,31 +184,25 @@ def revival_period(
 ) -> RevivalCertificate | None:
     """Detect the revival period from the closed-form spectrum.
 
-    Every eigenphase must reconstruct as a fraction with denominator at most
-    max_n; the candidate period is the LCM of those denominators.  Returns
-    None when any phase fails reconstruction, the LCM exceeds max_n, or the
-    powered operator misses the identity by CERTIFICATION_TOL or more.
+    Every eigenphase must be proved (`_proved_fractions`) as a fraction within
+    PHASE_RECONSTRUCTION_TOL with denominator at most min(max_n, 2**24); the candidate period
+    is the LCM of those denominators.  Returns None when any phase fails, the LCM exceeds
+    max_n or MAX_POWER, or the powered operator misses I by CERTIFICATION_TOL or more.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    phases = np.angle(full_spectrum(k, params))
-    x = phases / TWO_PI % 1.0  # as reconstruct_fraction reduces each phase
+    x = np.angle(full_spectrum(k, params)) / TWO_PI % 1.0
     p, q, proved = _proved_fractions(x, max_n)
-    p, q = p[proved].astype(np.int64), q[proved].astype(np.int64)
-    if not (np.abs(x[proved] - p / q) < PHASE_RECONSTRUCTION_TOL).all():
+    if not (proved.all() and (np.abs(x - p / q) < PHASE_RECONSTRUCTION_TOL).all()):
         return None
-    fallback = [reconstruct_fraction(phase, max_den=max_n) for phase in phases[~proved].tolist()]
-    if None in fallback:
-        return None
-    n = math.lcm(*np.unique(q).tolist(), *(f.denominator for f in fallback))
-    if n > max_n:
+    p, q = p.astype(np.int64), q.astype(np.int64)
+    n = math.lcm(*np.unique(q).tolist())
+    if n > min(max_n, MAX_POWER):
         return None
 
     deviation = power_deviation(k, params, n)
     if not deviation < CERTIFICATION_TOL:
         return None
-    # proofs pass only for max_n < 5e14 (see _PROOF_MARGIN), so then n // q fits an int64
-    numerators = (p % q * (n // q)).tolist() if q.size else []
-    numerators += [f.numerator * (n // f.denominator) for f in fallback]
+    numerators = np.unique(p % q * (n // q)).tolist()
     return RevivalCertificate(k=k, N=n, rho=params.rho, delta=params.delta,
-                              numerators=tuple(sorted(set(numerators))), max_deviation=deviation)
+                              numerators=tuple(numerators), max_deviation=deviation)

@@ -33,11 +33,11 @@ import numpy as np
 
 from .revival import (
     CERTIFICATION_TOL,
+    MAX_POWER,
     UNDEFINED_DENOMINATOR_TOL,
     RevivalCertificate,
     certify,
     power_deviation,
-    reconstruct_fraction,
 )
 from .spectral import full_spectrum
 from .walk import CoinParams
@@ -191,6 +191,8 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         n, numerators, tag = 2 * v, (u, u + v), "rho0"
     else:
         n = math.lcm(2, k, v * k)
+        if n > MAX_POWER:  # as certify would, before the numerators overflow int64
+            raise ValueError(f"N={n} exceeds 2**63 - 1, the largest power the engine takes")
         # -l/k and l/k + u/v + 1/2 (mod 1), over n
         first = np.arange(k) * (n // k)
         second = (first + u * (n // v) + n // 2) % n
@@ -352,9 +354,11 @@ def solve_approximate(
     if isinstance(delta, Fraction):
         dtp = delta % 1
     else:
-        # floats that are exact rational turns (e.g. 0.0) still get the
-        # exact companion treatment
-        dtp = reconstruct_fraction(float(delta) % TWO_PI, max_den=1000, tol=1e-12)
+        # floats within 1e-12 of a turn u/v with v <= 1000 (e.g. 0.0) get the exact
+        # companion treatment; x is measured before reducing, so x near 1 reads as 0/1
+        x = float(delta) % TWO_PI / TWO_PI % 1.0
+        dtp = Fraction(x).limit_denominator(1000)
+        dtp = dtp % 1 if abs(x - float(dtp)) < 1e-12 else None
     delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
     params = CoinParams.from_delta(rho, delta_value)
 

@@ -3,14 +3,14 @@
 None of this is on a production path: the dense 2k x 2k step matrix, the
 kron(F_k, F_2) conjugation that block-diagonalizes it, the closed form of
 each 2x2 block and the paper's scalar square-root formula for its eigenvalue
-pair, the dense full-space eigenvectors of an eigenbasis, and the per-phase
-reconstruction loop and Fraction-built rho=1 generators that the batched
-revival path must reproduce exactly, the per-candidate Fraction seed
-search that the integer scan and batched certification must reproduce, the
-sort/dedupe/LCM normalisation of Fraction generators that integer
-numerators over N must reproduce, and the Fraction-set approximate solver
-(with its companion and degenerate-block fraction sets) that the integer
-(num, den) pairs must reproduce.
+pair, the dense full-space eigenvectors of an eigenbasis, the exact
+per-phase `reconstruct_fraction`, its reconstruction loop and the
+Fraction-built rho=1 generators that the batched revival path must reproduce
+exactly, the per-candidate Fraction seed search that the integer scan and
+batched certification must reproduce, the sort/dedupe/LCM normalisation of
+Fraction generators that integer numerators over N must reproduce, and the
+Fraction-set approximate solver (with its companion and degenerate-block
+fraction sets) that the integer (num, den) pairs must reproduce.
 The row-list `simulate` emitter, with its preallocated line-walk history,
 is the reference that the streamed emitter must match byte for byte.
 """
@@ -30,11 +30,13 @@ import numpy as np
 
 from cyclewalk import cli
 from cyclewalk.revival import (
+    _PROVABLE_DEN,
     CERTIFICATION_TOL,
+    DEFAULT_MAX_DENOMINATOR,
+    PHASE_RECONSTRUCTION_TOL,
     UNDEFINED_DENOMINATOR_TOL,
     RevivalCertificate,
     power_deviation,
-    reconstruct_fraction,
 )
 from cyclewalk.solver import (
     APPROX_DENOMINATOR_CAP,
@@ -220,15 +222,33 @@ def phase_multiset_distance(a, b) -> float:
     return worst
 
 
+def reconstruct_fraction(
+    phase: float,
+    max_den: int = DEFAULT_MAX_DENOMINATOR,
+    tol: float = PHASE_RECONSTRUCTION_TOL,
+) -> Fraction | None:
+    """phase/(2*pi) as the reduced fraction in [0, 1) that `Fraction.limit_denominator`
+    picks, or None when it lies tol or more from phase/(2*pi).
+
+    The distance is measured before reducing mod 1, so x near 1 reads as 0/1.
+    """
+    x = (float(phase) / TWO_PI) % 1.0
+    best = Fraction(x).limit_denominator(max_den)
+    if abs(x - float(best)) >= tol:
+        return None
+    return best % 1
+
+
 def revival_period_per_phase(k: int, params: CoinParams, max_n: int):
     """`revival_period` one phase at a time: (N, generators, deviation), or None.
 
-    Every eigenphase goes through `reconstruct_fraction`; the generators are
-    the sorted set of the reconstructed fractions.
+    Every eigenphase goes through `reconstruct_fraction` with the denominator
+    bound min(max_n, 2**24) of the batched proof; the generators are the
+    sorted set of the reconstructed fractions.
     """
     fractions = []
     for value in full_spectrum(k, params):
-        fraction = reconstruct_fraction(float(np.angle(value)), max_den=max_n)
+        fraction = reconstruct_fraction(float(np.angle(value)), max_den=min(max_n, _PROVABLE_DEN))
         if fraction is None:
             return None
         fractions.append(fraction)

@@ -1,9 +1,11 @@
 """The batched phase reconstruction and the integer rho=1 generators.
 
 `revival_period` reconstructs the whole spectrum with one float continued
-fraction and proves each result; these tests check every proved entry
-against `Fraction.limit_denominator`, the whole path against the per-phase
-loop it replaced, and that large spectra never fall back phase by phase.
+fraction and proves each result, with no per-phase fallback; these tests
+check every proved entry against `Fraction.limit_denominator`, that a float
+p/q with q <= 2**24 proves as p/q at any max_n, the whole path against the
+exact per-phase reference in `oracles`, and that large spectra never call
+`Fraction.limit_denominator`.
 """
 
 import math
@@ -14,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cyclewalk.revival as revival
 from cyclewalk import (
     HADAMARD,
     CoinParams,
@@ -22,7 +23,8 @@ from cyclewalk import (
     revival_period,
     solve_rho_edge,
 )
-from cyclewalk.revival import _proved_fractions
+from cyclewalk import revival
+from cyclewalk.revival import MAX_POWER, _proved_fractions
 from oracles import revival_period_per_phase, rho_one_generators
 
 TWO_PI = 2.0 * math.pi
@@ -89,6 +91,25 @@ def test_exact_small_fractions_are_proved(max_n):
     assert [Fraction(int(a), int(b)) for a, b in zip(p, q)] == fractions
 
 
+float_fractions = st.integers(1, 2**24).flatmap(
+    lambda q: st.lists(st.integers(0, q).map(lambda p: Fraction(p, q)), min_size=1, max_size=8)
+)
+
+
+@example(fractions=[Fraction(2**23 - 1, 2**24 - 1), Fraction(1, 2**24), Fraction(1)])
+@example(fractions=[Fraction(5592405, 16777213), Fraction(0)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fractions=float_fractions)
+def test_float_fractions_prove_at_any_max_n(fractions):
+    """A float p/q with q <= 2**24 proves as p/q however far max_n reaches past q."""
+    x = np.array([float(f) for f in fractions])
+    top = max(f.denominator for f in fractions)
+    for max_n in (top, 2**24, 10**15, 10**400):
+        p, q, proved = _proved_fractions(x, max_n)
+        assert proved.all(), max_n
+        assert [Fraction(int(a), int(b)) for a, b in zip(p, q)] == fractions, max_n
+
+
 def test_ties_and_wraps_are_not_proved_wrongly():
     # 0.25 at max_n=2 is equidistant from 0 and 1/2; limit_denominator keeps 0
     p, q, proved = _proved_fractions(np.array([0.25, 0.5, 1.0]), 2)
@@ -147,19 +168,29 @@ def test_revival_period_matches_per_phase_loop_at_k512(params):
 
 def test_large_spectrum_needs_no_per_phase_fallback(monkeypatch):
     calls = []
-    real = revival.reconstruct_fraction
+    real = Fraction.limit_denominator
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(revival, "reconstruct_fraction", counted)
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
     cert = revival_period(4096, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=10**6)
     assert cert is not None and cert.N == math.lcm(2, 4096, 3 * 4096)
-    assert len(calls) <= 1
-    calls.clear()
     assert revival_period(512, HADAMARD) is None
-    assert len(calls) <= 1
+    assert calls == []
+
+
+def test_no_power_past_int64_is_tried(monkeypatch):
+    # every phase of this k=3 coin proves at some q <= 2**24, but their LCM is about 2.3e38
+    params = CoinParams.from_delta(0.6681574410339702, 5.308289894912453)
+    x = np.angle(revival.full_spectrum(3, params)) / TWO_PI % 1.0
+    _, q, proved = _proved_fractions(x, 10**400)
+    assert proved.all() and math.lcm(*q.astype(int).tolist()) > MAX_POWER
+    calls = []
+    monkeypatch.setattr(revival, "power_deviation", lambda *args: calls.append(args) or 0.0)
+    assert revival_period(3, params, max_n=10**400) is None
+    assert calls == []
 
 
 def test_rho_one_generators_match_fraction_arithmetic():

@@ -569,6 +569,44 @@ class TestInputContract:
         assert out == ""
         assert err.startswith("cyclewalk: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k", "2", "--alpha", "1", "--delta-frac", "1/3", "--steps", "1"],
+            ["simulate", "--k", "2", "--beta", "1", "--delta-frac", "1/3", "--steps", "1"],
+            ["solve", "--k", "2", "--case", "approx", "--rho", "0.4", "--delta-rad", "1.0",
+             "--delta-frac", "1/3", "--epsilon", "0.02"],
+        ],
+        ids=" ".join,
+    )
+    def test_overridden_phase_flag_exits_2_naming_both(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("cyclewalk: ") and err.count("\n") == 1
+        assert "--delta-frac" in err and argv[3 if argv[0] == "simulate" else 9] in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "3", "--case", "rho-edge", "--rho", "1", "--delta-frac", "1/" + "9" * 20],
+            ["--k", "3", "--case", "rho-edge", "--rho", "0", "--delta-frac", "1/" + "9" * 20],
+            ["--k", "2", "--case", "k2", "--delta-frac", "3" * 20 + "/" + "9" * 19 + "8",
+             "--max-den", "6"],
+        ],
+        ids=" ".join,
+    )
+    def test_period_past_int64_exits_1_naming_n(self, capsys, argv):
+        code, out, err = run_cli(capsys, "solve", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("cyclewalk: N=") and err.count("\n") == 1
+
+    def test_single_check_at_a_power_past_int64_keeps_its_report(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "4", "--rho", "1/2", "--delta-frac", "0/1", "--n", "9" * 20
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out)["N"] == 10**20 - 1 and json.loads(out)["pass"] is False
+
     def test_zero_power_is_not_a_certificate(self, capsys):
         # U^0 = I for every coin, so N=0 would pass any walk
         code, out, err = run_cli(

@@ -202,6 +202,15 @@ def test_batch_rejects_a_negative_power():
         power_deviation(5, CoinParams(0.5), -4)
 
 
+def test_batch_rejects_a_power_past_int64():
+    with pytest.raises(ValueError, match=r"N=100000000000000000000 exceeds"):
+        power_deviations(3, [0.5], 1.0, [10**20])
+    with pytest.raises(ValueError, match=f"N={2**63} exceeds"):
+        power_deviations(3, [0.5, 0.5], 1.0, [8, 2**63])
+    # one coin takes any power, as `verify --n` does; it only cannot certify
+    assert power_deviation(4, CoinParams(0.5), 10**20) > 1e-9
+
+
 def test_batch_memory_is_bounded_in_its_size():
     # certify feeds the engine a chunk at a time: one pass over all 20000 coins
     # peaks at 15.7 MB, while the 20000 certificates returned hold about 5.1 MB

@@ -189,11 +189,9 @@ def test_revival_period_of_a_rho_one_coin(max_n):
     assert cert is not None and cert.N == 12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: from max_n near 5e14 no phase can be proved, and the per-phase "
-    "fallback returns each float's own dyadic fraction, a false fail of a true revival",
-)
 def test_revival_period_keeps_a_true_revival_at_large_max_n():
-    cert = revival_period(4, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=10**15)
-    assert cert is not None and cert.N == 12
+    # proofs run at denominators up to 2**24 whatever max_n is, so no phase falls to its
+    # float's own dyadic fraction
+    for max_n in (10**15, 10**20, 10**400):
+        cert = revival_period(4, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=max_n)
+        assert cert is not None and cert.N == 12, max_n

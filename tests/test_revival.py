@@ -19,8 +19,13 @@ from cyclewalk import (
     weight,
     weight_forms,
 )
-from cyclewalk.revival import reconstruct_fraction
-from oracles import constant_block_fractions, eigenvalues_closed_form, walk_matrix
+from cyclewalk.revival import PHASE_RECONSTRUCTION_TOL, _proved_fractions
+from oracles import (
+    constant_block_fractions,
+    eigenvalues_closed_form,
+    reconstruct_fraction,
+    walk_matrix,
+)
 
 RNG = np.random.default_rng(8675309)
 
@@ -94,15 +99,31 @@ class TestUndefinedRhoEigenvalues:
             assert self.phases(3, 0, Fraction(0), rho) == expected
 
 
+def proved_fraction(phase: float, max_den: int) -> Fraction | None:
+    """One phase through `revival_period`'s batched proof and its 1e-9 window."""
+    x = np.array([phase / TWO_PI % 1.0])
+    p, q, proved = _proved_fractions(x, max_den)
+    if not (proved[0] and abs(x[0] - p[0] / q[0]) < PHASE_RECONSTRUCTION_TOL):
+        return None
+    return Fraction(int(p[0]), int(q[0])) % 1
+
+
+def both_readings(phase: float, max_den: int) -> set[Fraction | None]:
+    """The exact per-phase reading and the batched proof's, as a set (one element if they agree)."""
+    return {reconstruct_fraction(phase, max_den=max_den), proved_fraction(phase, max_den)}
+
+
 class TestReconstructFraction:
+    """The exact per-phase reference, and the batched proof on the same inputs."""
+
     def test_pi_is_one_half(self):
-        assert reconstruct_fraction(math.pi, max_den=10) == Fraction(1, 2)
+        assert both_readings(math.pi, 10) == {Fraction(1, 2)}
 
     def test_near_rational(self):
-        assert reconstruct_fraction(TWO_PI * 7 / 60 + 1e-13, max_den=100) == Fraction(7, 60)
+        assert both_readings(TWO_PI * 7 / 60 + 1e-13, 100) == {Fraction(7, 60)}
 
     def test_irrational_returns_none(self):
-        assert reconstruct_fraction(1.0, max_den=1000, tol=1e-9) is None
+        assert both_readings(1.0, 1000) == {None}
 
     def test_irrational_oracle_scan(self):
         # exhaustive check that no q <= 1000 approximates 1/(2*pi) to 1e-9
@@ -111,7 +132,7 @@ class TestReconstructFraction:
         assert best > 1e-9
 
     def test_negative_phase_wraps(self):
-        assert reconstruct_fraction(-math.pi / 2.0, max_den=10) == Fraction(3, 4)
+        assert both_readings(-math.pi / 2.0, 10) == {Fraction(3, 4)}
 
     def test_round_trip_property(self):
         for _ in range(200):
@@ -120,6 +141,7 @@ class TestReconstructFraction:
             fraction = Fraction(p, q)
             got = reconstruct_fraction(TWO_PI * float(fraction), max_den=1000)
             assert got == fraction
+            assert proved_fraction(TWO_PI * float(fraction), 1000) == fraction
             assert abs(cmath.exp(2j * math.pi * float(got)) - cmath.exp(2j * math.pi * p / q)) < 1e-12
 
 

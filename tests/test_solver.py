@@ -20,7 +20,6 @@ from cyclewalk import (
 )
 from cyclewalk import revival, solver, walk
 from cyclewalk.cli import certificate_to_json
-from cyclewalk.revival import reconstruct_fraction
 from cyclewalk.solver import _companion_pairs, _degenerate_pairs
 from cyclewalk.spectral import principal_phase
 from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
@@ -28,6 +27,7 @@ from oracles import (
     companion_fractions,
     constant_block_fractions,
     enumerate_seeded_per_candidate,
+    reconstruct_fraction,
     reduced_fractions,
     solve_approximate_fractions,
 )
