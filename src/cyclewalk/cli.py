@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exprs import ExpressionError, parse_fraction, parse_value
-from .revival import CERTIFICATION_TOL, RevivalCertificate, power_deviation
-from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
+from .revival import CERTIFICATION_TOL, CertificateColumns, RevivalCertificate, power_deviation
+from .solver import seed_search, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
 from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_steps
@@ -90,9 +90,37 @@ def certificate_from_json(record: dict) -> RevivalCertificate:
     )
 
 
+def _json_lines(columns: CertificateColumns, rows: int = 4096):
+    """The lines `json.dumps(certificate_to_json(c))` of the rows' certificates c, written from
+    the columns with format strings ("expr" is null: the columns hold no rho_display), yielded
+    `rows` lines at a time so the text held stays bounded."""
+    dtp = columns.delta_two_pi
+    num, den = ("null", "null") if dtp is None else dtp.as_integer_ratio()
+    line = (f'{{"k": {columns.k}, "N": %d, "rho": {{"value": %r, "expr": null}}, "delta": '
+            f'{{"two_pi_num": {num}, "two_pi_den": {den}, "radians": {float(columns.delta)!r}}}, '
+            f'"generators": [%s], "max_deviation": %r, "case_tag": "{columns.case_tag}"}}\n')
+    for start in range(0, len(columns.N), rows):
+        part = slice(start, start + rows)
+        over, j, distinct = columns.N[part, None], columns.numerators[part], columns.distinct[part]
+        g = np.gcd(j, over)  # j/N reduced; every generator's cell is formatted in one pass
+        pairs = np.stack([j // g, over // g], axis=-1)[distinct]
+        cells = '{"num": %d, "den": %d}\0' * len(pairs) % tuple(pairs.ravel().tolist())
+        cells = cells.split("\0")
+        ends = np.cumsum(distinct.sum(axis=1)).tolist()
+        values = zip(columns.N[part].tolist(), columns.rho[part].tolist(), [0, *ends], ends,
+                     columns.max_deviation[part].tolist())
+        yield "".join([line % (n, rho, ", ".join(cells[a:b]), dev) for n, rho, a, b, dev in values])
+
+
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise CliError(2, message)
+
+
+def _unread(args, names, reader: str) -> None:
+    """A usage error naming each flag of `names` that was given: `reader` does not read them."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    _require(not given, f"{reader} does not read {', '.join(given)}")
 
 
 def _delta_frac(args) -> Fraction | None:
@@ -166,6 +194,8 @@ def cmd_simulate(args) -> int:
     _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
     _require(args.delta_frac is None or args.alpha is None and args.beta is None,
              "--delta-frac sets alpha + beta, so it cannot be combined with --alpha or --beta")
+    if args.line:
+        _unread(args, ("k",), "simulate --line")
     params, _ = _coin_params(args)
     try:
         if args.line:
@@ -198,6 +228,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.table is not None:
+        _unread(args, ("k", "rho", "delta_frac", "n"), "verify --table")
         report = verify_table(args.table, tol=args.tol)
         payload = {
             "table": report.table,
@@ -240,25 +271,29 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _solve_certificates(args) -> list[RevivalCertificate]:
+def _solve_columns(args) -> CertificateColumns:
     case = args.case
     dtp = _delta_frac(args)
     seed = parse_fraction(args.seed) if args.seed is not None else None
     if case == "rho-edge":
+        _unread(args, ("seed", "delta_rad", "max_den", "max_n", "epsilon"), "solve --case rho-edge")
         if args.k is None or dtp is None or args.rho is None:
             raise CliError(2, "rho-edge needs --k, --delta-frac and --rho 0|1")
         edge = parse_value(args.rho)
         if edge not in (0.0, 1.0):
             raise CliError(2, "rho-edge requires --rho 0 or --rho 1")
-        return [solve_rho_edge(args.k, dtp, int(edge))]
+        return CertificateColumns.of(solve_rho_edge(args.k, dtp, int(edge)))
     if case in _CASE_DEFAULT_K:
+        _unread(args, ("rho", "delta_rad", "epsilon"), f"solve --case {case}")
         k = args.k if args.k is not None else _CASE_DEFAULT_K[case]
         if k is None or dtp is None:
             raise CliError(2, f"{case} needs {'--k and ' if k is None else ''}--delta-frac")
         if seed is not None:
-            return [solve_seeded(k, dtp, seed)]
-        return list(enumerate_seeded(k, dtp, args.max_den, args.max_n).solutions)
+            _unread(args, ("max_den",), "solve --seed")
+            return CertificateColumns.of(solve_seeded(k, dtp, seed, args.max_n))
+        return seed_search(k, dtp, args.max_den or 24, args.max_n)  # 0 exits 2 in cmd_solve
     if case == "approx":
+        _unread(args, ("seed", "max_den", "max_n"), "solve --case approx")
         if args.k is None or args.rho is None or args.epsilon is None:
             raise CliError(2, "approx needs --k, --rho and --epsilon")
         _require((dtp is None) != (args.delta_rad is None),
@@ -272,22 +307,21 @@ def _solve_certificates(args) -> list[RevivalCertificate]:
             raise CliError(
                 1, "no fraction set within epsilon at the denominator/period caps"
             )
-        return [cert]
+        return CertificateColumns.of(cert)
     raise CliError(2, f"unknown case {case!r}")
 
 
 def cmd_solve(args) -> int:
-    _require(args.max_den >= 1, f"--max-den must be positive, got {args.max_den}")
-    _require(args.max_n is None or args.max_n >= 1, f"--max-n must be positive, got {args.max_n}")
+    for flag in ("max-den", "max-n"):
+        value = getattr(args, flag.replace("-", "_"))
+        _require(value is None or value >= 1, f"--{flag} must be positive, got {value}")
     try:
-        certificates = _solve_certificates(args)
+        columns = _solve_columns(args)  # sorted by (N, rho), one delta
     except ExpressionError:
         raise  # malformed input is a usage error, reported by main
     except ValueError as exc:
         raise CliError(1, str(exc)) from exc
-    certificates.sort(key=lambda c: (c.N, c.rho, c.delta))
-    for cert in certificates:
-        print(json.dumps(certificate_to_json(cert)))
+    sys.stdout.writelines(_json_lines(columns))
     return 0
 
 
@@ -386,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--delta-frac", help="delta as a fraction of 2*pi")
     sol.add_argument("--delta-rad", type=float, help="delta in radians (approx only)")
     sol.add_argument("--rho", help="coin weight (rho-edge: 0|1, approx: target)")
-    sol.add_argument("--max-den", type=int, default=24)
+    sol.add_argument("--max-den", type=int, help="seed denominator bound (default 24)")
     sol.add_argument("--max-n", type=int)
     sol.add_argument("--epsilon", type=float)
     sol.set_defaults(func=cmd_solve)

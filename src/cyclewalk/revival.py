@@ -5,8 +5,9 @@ unity.  This module turns the eigenphases into reduced fractions in one proved
 continued-fraction pass, takes N as the LCM of their denominators, and certifies candidate
 periods by Fourier-block powering: every 2x2 symbol is raised to the N-th power through its
 eigenphases and one inverse FFT gives the first block column of U^N, O(k log k) for any N.
-`certify` turns the candidates of every seed search and rho edge into certificates on their
-own k-cycle, a bounded chunk per pass.
+`certify` measures the candidate columns of every seed search, rho edge and approximate run
+on their own k-cycle, a bounded chunk per pass, and returns them as `CertificateColumns`:
+one row per certificate, built into `RevivalCertificate`s only on request.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from .walk import CoinParams, su2_form, su2_power
 
 __all__ = [
     "CERTIFICATION_TOL",
+    "CertificateColumns",
     "DEFAULT_MAX_DENOMINATOR",
     "PHASE_RECONSTRUCTION_TOL",
     "UNDEFINED_DENOMINATOR_TOL",
@@ -82,9 +84,13 @@ def _proved_fractions(x: np.ndarray, max_n: int):
 def power_deviations(k: int, rho, delta: float, n) -> np.ndarray:
     """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta),
     in one engine pass whose memory grows with the number of coins."""
-    if (top := max(n, default=0)) > MAX_POWER:  # before numpy turns n into floats or objects
-        raise ValueError(f"N={top} exceeds 2**63 - 1, the largest power the engine takes")
-    rho, n = np.asarray(rho, dtype=float).reshape(-1, 1), np.asarray(n).reshape(-1, 1)
+    # a list is read as Python ints, which numpy could round to floats; no int64 N passes the cap
+    n = (n if isinstance(n, np.ndarray) else np.array(n, dtype=object)).reshape(-1, 1)
+    if n.dtype.kind != "i":
+        if n.size and (top := n.max()) > MAX_POWER:
+            raise ValueError(f"N={top} exceeds 2**63 - 1, the largest power the engine takes")
+        n = n.astype(np.int64)
+    rho = np.asarray(rho, dtype=float).reshape(-1, 1)
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
     return _deviation(k, rho, delta, n)
@@ -134,10 +140,7 @@ class RevivalCertificate:
         if self.N < 1:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.exact and not self.max_deviation < CERTIFICATION_TOL:
-            raise ValueError(
-                f"certificate failed verification: k={self.k}, N={self.N}, "
-                f"deviation {self.max_deviation:.3e}"
-            )
+            raise _unverified(self.k, self.N, self.max_deviation)
         j = self.numerators
         if j and not (0 <= j[0] and j[-1] < self.N and all(map(operator.lt, j, j[1:]))):
             raise ValueError(f"numerators must increase strictly within [0, N={self.N})")
@@ -161,20 +164,66 @@ class RevivalCertificate:
         return CoinParams.from_delta(self.rho, self.delta % TWO_PI)
 
 
-def certify(k: int, delta: float, candidates, **fields) -> list[RevivalCertificate]:
-    """Certificates of (rho, N, numerators over N) candidates, read lazily and measured on the
-    k-cycle, one engine pass per chunk, with `fields` on each; an exact one that misses I raises."""
-    rows = max(1, _CHUNK_BLOCKS // k)
-    candidates, out = iter(candidates), []
-    while chunk := list(itertools.islice(candidates, rows)):
-        rho, n, _ = zip(*chunk)
-        deviations = power_deviations(k, rho, delta, n)
-        out += [
-            RevivalCertificate(k=k, N=n, rho=rho, delta=delta, numerators=numerators,
-                               max_deviation=deviation, **fields)
-            for (rho, n, numerators), deviation in zip(chunk, deviations.tolist())
+def _unverified(k: int, n: int, deviation: float) -> ValueError:
+    return ValueError(f"certificate failed verification: k={k}, N={n}, deviation {deviation:.3e}")
+
+
+@dataclass
+class CertificateColumns:
+    """Certificates of one k-cycle, delta, case tag and delta fraction, as columns with one row
+    each: N, rho, max_deviation, and the ascending numerators over N in a padded matrix whose
+    `distinct` mask marks the first of each run of equal entries.  N and the numerators are
+    int64, or Python ints (dtype=object) where a search's int64 bound does not hold."""
+
+    k: int
+    delta: float
+    N: np.ndarray
+    rho: np.ndarray
+    numerators: np.ndarray
+    distinct: np.ndarray
+    max_deviation: np.ndarray
+    case_tag: str
+    delta_two_pi: Fraction | None
+
+    @classmethod
+    def of(cls, cert: RevivalCertificate) -> CertificateColumns:
+        """The one row of a certificate (its rho_display is not a column)."""
+        numerators = np.array(cert.numerators, dtype=np.int64).reshape(1, -1)
+        return cls(cert.k, cert.delta, np.array([cert.N]), np.array([cert.rho]), numerators,
+                   np.ones(numerators.shape, dtype=bool), np.array([cert.max_deviation]),
+                   cert.case_tag, cert.delta_two_pi)
+
+    def take(self, rows) -> CertificateColumns:
+        """These rows, in this order."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in
+                                ("N", "rho", "numerators", "distinct", "max_deviation")})
+
+    def certificates(self) -> list[RevivalCertificate]:
+        """One `RevivalCertificate` per row; exact where the deviation is below the tolerance."""
+        rows = zip(self.N.tolist(), self.rho.tolist(), self.numerators.tolist(),
+                   self.distinct.tolist(), self.max_deviation.tolist())
+        return [
+            RevivalCertificate(self.k, n, rho, self.delta, tuple(itertools.compress(j, new)),
+                               deviation, self.case_tag, self.delta_two_pi, None,
+                               deviation < CERTIFICATION_TOL)
+            for n, rho, j, new, deviation in rows
         ]
-    return out
+
+
+def certify(k: int, delta: float, rho, n, numerators, distinct, *, case_tag: str = "reconstructed",
+            delta_two_pi: Fraction | None = None, exact: bool = True) -> CertificateColumns:
+    """The candidate columns (see `CertificateColumns`) measured on the k-cycle, one engine pass
+    per chunk of rows in order; with `exact`, the first row to miss I by CERTIFICATION_TOL
+    raises."""
+    deviations, rows = np.empty(len(n)), max(1, _CHUNK_BLOCKS // k)
+    for start in range(0, len(n), rows):
+        part = slice(start, start + rows)
+        deviations[part] = chunk = power_deviations(k, rho[part], delta, n[part])
+        if exact and not chunk.max() < CERTIFICATION_TOL:
+            row = start + int(np.argmin(chunk < CERTIFICATION_TOL))
+            raise _unverified(k, n[row], deviations[row])
+    return CertificateColumns(k, delta, n, np.asarray(rho, dtype=float), numerators, distinct,
+                              deviations, case_tag, delta_two_pi)
 
 
 def revival_period(

@@ -14,17 +14,18 @@ the same weight.  A full revival needs one class per form, all at one rho in
 (0, 1): `enumerate_seeded` scans the classes of the seeds up to a denominator
 bound, keeps every class for one form and joins the two weight lists for two,
 adds the degenerate blocks' constant fractions and takes N as the LCM of all
-denominators, all in integers (seed p/q at d = u/v is in the class
-min(t, qv - t)/(qv), t = (2pv - uq) mod qv; each fraction a reduced
-(num, den) pair, each generator a numerator over N).  Candidates are built lazily;
-`revival.certify` measures them on the k-cycle alone (for odd k each 2k-cycle block
-is +-a k-cycle block, so U_k^N = I iff U_2k^N = I at even N, and every seeded N is
-even: s and s + 1/2 are generators).  `solve_approximate` uses the same integer rules.
+denominators.  The search runs on integer numpy columns, one row per seed, class or
+candidate (seed p/q at d = u/v is in the class min(t, qv - t)/(qv), t = (2pv - uq) mod qv;
+each fraction a reduced (num, den) pair, each generator a numerator over N), int64 under
+a stated bound and Python ints past it.  `revival.certify` measures the candidate columns
+on the k-cycle alone (for odd k each 2k-cycle block is +-a k-cycle block, so
+U_k^N = I iff U_2k^N = I at even N, and every seeded N is even: s and s + 1/2 are
+generators).  `solve_seeded`, `solve_rho_edge` and `solve_approximate` run the same
+array rules on one row.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +33,11 @@ from fractions import Fraction
 import numpy as np
 
 from .revival import (
-    CERTIFICATION_TOL,
     MAX_POWER,
     UNDEFINED_DENOMINATOR_TOL,
+    CertificateColumns,
     RevivalCertificate,
     certify,
-    power_deviation,
 )
 from .spectral import full_spectrum
 from .walk import CoinParams
@@ -47,6 +47,7 @@ __all__ = [
     "APPROX_PERIOD_CAP",
     "SolutionFamily",
     "enumerate_seeded",
+    "seed_search",
     "solve_approximate",
     "solve_rho_edge",
     "solve_seeded",
@@ -112,9 +113,15 @@ def _form_points(k: int, u: int, v: int) -> tuple[dict[int, tuple[int, ...]], tu
     return {x: tuple(forms[x]) for x in sorted(forms)}, tuple(degenerate)
 
 
-def _weight(num: int, den: int, form_den: float) -> float:
-    """`weight` at 2*seed - d = num/den (int division rounds as float(Fraction) does)."""
-    return (1.0 - math.cos(TWO_PI * (num / den))) / form_den
+def _int_type(bound: int):
+    """int64 where every integer of a computation lies below `bound` <= 2**53 (so each is an
+    exact float too), else Python ints (dtype=object), on which the same array code runs."""
+    return np.int64 if bound <= 2**53 else object
+
+
+def _weights(a, turn, form_den: float):
+    """`weight` at 2*seed - d = a/turn, ints (or arrays of them) that divide as Fractions would."""
+    return (1.0 - np.cos(TWO_PI * np.asarray(a / turn, dtype=float))) / form_den
 
 
 def weight(seed: Fraction, delta_two_pi: Fraction, x: Fraction) -> float:
@@ -125,52 +132,106 @@ def weight(seed: Fraction, delta_two_pi: Fraction, x: Fraction) -> float:
     it lies in (0, 1) iff 0 < min(y, 1 - y) < x for y = (2*seed - d) mod 1.
     """
     y = (2 * Fraction(seed) - Fraction(delta_two_pi)).as_integer_ratio()
-    return _weight(*y, 1.0 - math.cos(TWO_PI * float(x)))
+    return float(_weights(*y, 1.0 - math.cos(TWO_PI * float(x))))
 
 
-def _reduced(nums, turn: int) -> list[tuple[int, int]]:
-    """num/turn (mod 1) for each num, as reduced (num, den) pairs."""
-    return [(num % turn // g, turn // g) for num in nums for g in (math.gcd(num, turn),)]
+def _reduced(nums, turn):
+    """nums/turn (mod 1), elementwise, as reduced (num, den) arrays."""
+    nums = np.asarray(nums) % turn
+    g = np.gcd(nums, turn)
+    return nums // g, turn // g
 
 
-def _companion_pairs(p: int, q: int, u: int, v: int) -> list[tuple[int, int]]:
-    """The x with cos(4*pi*x - delta) == cos(4*pi*s - delta) for s = p/q, d = u/v:
-    s, s + 1/2, d - s, d - s + 1/2 (mod 1)."""
+def _companion_pairs(p, q, u: int, v: int):
+    """(num, den) arrays, last axis 4, of the x with cos(4*pi*x - delta) == cos(4*pi*s - delta)
+    for seeds s = p/q at d = u/v: s, s + 1/2, d - s, d - s + 1/2 (mod 1)."""
     turn, half, seed, delta = 2 * q * v, q * v, 2 * p * v, 2 * u * q
-    return _reduced((seed, seed + half, delta - seed, delta - seed + half), turn)
+    nums = np.stack([seed, seed + half, delta - seed, delta - seed + half], axis=-1)
+    return _reduced(nums, np.expand_dims(turn, -1))
 
 
-def _degenerate_pairs(k: int, l: int) -> list[tuple[int, int]]:
-    """Eigenphase fractions -l/k and -l/k + 1/2 (mod 1) of a degenerate block."""
-    return _reduced((-2 * l, k - 2 * l), 2 * k)
+def _degenerate_pairs(k: int, l):
+    """(num, den) arrays, last axis 2, of -l/k and -l/k + 1/2 (mod 1) for degenerate blocks l."""
+    l = np.asarray(l, dtype=np.int64)
+    return _reduced(np.stack([-2 * l, k - 2 * l], axis=-1), 2 * k)
 
 
-def _period(pairs, max_n: int | None = None) -> tuple[int, tuple[int, ...]] | None:
-    """(N, numerators over N) of reduced (num, den) pairs, N their LCM; None above max_n."""
-    n = math.lcm(*(den for _, den in pairs))
-    if max_n is not None and n > max_n:
-        return None
-    return n, tuple(sorted({num * (n // den) for num, den in pairs}))
+def _numerators(nums, dens, n):
+    """Rows of (num, den) fractions as ascending numerators over the row's N (a multiple of each
+    den), and the mask of the first of each run of equal numerators."""
+    j = np.sort(nums * (n[:, None] // dens), axis=1)
+    distinct = np.ones(j.shape, dtype=bool)
+    distinct[:, 1:] = j[:, 1:] != j[:, :-1]
+    return j, distinct
 
 
-def _sides(xs, seeds, u: int, v: int) -> list[list[tuple[float, float, int, int]]]:
-    """Per form point x, (rho, seed value, p, q) of the first seed of each companion class
-    y = min(t, 1 - t), t = 2*p/q - u/v (mod 1), with 0 < y < x (rho in (0, 1)), ascending
-    in rho, then seed; y and x are compared in integers as (num, den) pairs."""
-    classes: dict[tuple[int, int], tuple[int, int]] = {}
-    for p, q in seeds:
-        turn = q * v
-        t = min((2 * p * v - u * q) % turn, (u * q - 2 * p * v) % turn)
-        g = math.gcd(t, turn)
-        classes.setdefault((t // g, turn // g), (p, q))
-    sides = []
-    for x in xs:
-        form_den = 1.0 - math.cos(TWO_PI * (x[0] / x[1]))
-        sides.append(sorted(
-            (_weight(2 * p * v - u * q, q * v, form_den), p / q, p, q)
-            for (num, den), (p, q) in classes.items() if 0 < num and num * x[1] < x[0] * den
-        ))
-    return sides
+def _seeds(max_den: int, dtype):
+    """The reduced seeds p/q in (0, 1) with q <= max_den, in scan order: q ascending, then p."""
+    q = np.repeat(np.arange(2, max_den + 1), np.arange(1, max_den))
+    p = np.arange(1, q.size + 1) - (q - 1) * (q - 2) // 2
+    coprime = np.gcd(p, q) == 1
+    return p[coprime].astype(dtype), q[coprime].astype(dtype)
+
+
+def _classes(p, q, u: int, v: int):
+    """(p, q, a = 2pv - uq, t) of the first seed in scan order of each companion class, the reduced
+    y = min(t, qv - t)/(qv) for t = a mod qv."""
+    a, turn = 2 * p * v - u * q, q * v
+    t = np.minimum(a % turn, -a % turn)
+    g = np.gcd(t, turn)
+    num, den = t // g, turn // g
+    order = np.lexsort((num, den))  # stable: scan order within each class
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (num[order[1:]] != num[order[:-1]]) | (den[order[1:]] != den[order[:-1]])
+    return tuple(column[order[first]] for column in (p, q, a, t))
+
+
+def _side(x: int, k: int, v: int, p, q, a, t):
+    """(rho, p, q) of the classes with 0 < y < x/(kv), that is rho in (0, 1), in integers as
+    0 < t and t*k < x*q; ascending in rho, then seed value, p and q."""
+    inside = (t > 0) & (t * k < x * q)
+    p, q, a = p[inside], q[inside], a[inside]
+    rho = _weights(a, q * v, 1.0 - math.cos(TWO_PI * (x / (k * v))))
+    order = np.lexsort((q, p, np.asarray(p / q, dtype=float), rho))
+    return rho[order], p[order], q[order]
+
+
+def _search_plan(k: int, dtp: Fraction):
+    """(form points x over k*v, ascending; degenerate-block (nums, dens); case tag)."""
+    if not 0 <= dtp < 1:
+        raise ValueError(f"delta fraction must lie in [0, 1), got {dtp}")
+    forms, degenerate = _form_points(k, *dtp.as_integer_ratio())
+    if not 1 <= len(forms) <= 2:
+        raise ValueError(
+            f"k={k} at delta={dtp}*2*pi has {len(forms)} weight forms; "
+            "seed searches need one or two"
+        )
+    constants = tuple(a.ravel() for a in _degenerate_pairs(k, degenerate))
+    return tuple(forms), constants, _SINGLE_FORM_TAGS[k] if len(forms) == 1 else "two_form"
+
+
+def _candidates(k: int, dtp: Fraction, xs, constants, p, q, max_n: int | None):
+    """(rho, N, kept, numerators, distinct) of the candidates of the seeds p/q (scan order), one
+    row per match in search order: a class per form point x, its companion pairs and the
+    constants, N their LCM; numerators and distinct cover the rows kept by N <= max_n."""
+    u, v = dtp.as_integer_ratio()
+    classes = _classes(p, q, u, v)
+    (rho, p, q), *second = [_side(x, k, v, *classes) for x in xs]
+    nums, dens = _companion_pairs(p, q, u, v)
+    if second:
+        # each first-form class meets the second-form classes within the window, in order
+        (other_rho, p2, q2), = second
+        lo = np.searchsorted(other_rho, rho - TWO_FORM_MATCH_TOL, side="left")
+        count = np.searchsorted(other_rho, rho + TWO_FORM_MATCH_TOL, side="right") - lo
+        match = np.repeat(np.arange(rho.size), count)
+        other = lo[match] + np.arange(match.size) - np.repeat(np.cumsum(count) - count, count)
+        pairs = zip((nums[match], dens[match]), _companion_pairs(p2[other], q2[other], u, v))
+        rho, (nums, dens) = rho[match], (np.hstack(pair) for pair in pairs)
+    nums, dens = (np.hstack([a, np.broadcast_to(c, (rho.size, c.size))])
+                  for a, c in zip((nums, dens), constants))
+    n = np.lcm.reduce(dens, axis=1)
+    kept = np.ones(n.shape, dtype=bool) if max_n is None else np.asarray(n <= max_n, dtype=bool)
+    return rho, n, kept, *_numerators(nums[kept], dens[kept], n[kept])
 
 
 def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
@@ -180,58 +241,39 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
     """
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
-    uv = Fraction(uv)
-    if not 0 < uv < 1:
+    uv = uv if isinstance(uv, Fraction) else Fraction(uv)
+    u, v = uv.as_integer_ratio()
+    dtype = _int_type(8 * k * v)
+    if not 0 < u < v:
         raise ValueError(f"delta fraction must lie strictly in (0, 1), got {uv}")
     if edge not in (0, 1):
         raise ValueError(f"edge must be 0 or 1, got {edge}")
-    u, v = uv.as_integer_ratio()
     if edge == 0:
-        # u/(2v) and u/(2v) + 1/2
-        n, numerators, tag = 2 * v, (u, u + v), "rho0"
+        # u/(2v) and u/(2v) + 1/2 over N = 2v, ascending and distinct as they stand
+        n, numerators = np.array([2 * v], dtype), (np.array([[u, u + v]], dtype),
+                                                   np.array([[True, True]]))
     else:
         n = math.lcm(2, k, v * k)
-        if n > MAX_POWER:  # as certify would, before the numerators overflow int64
+        if n > MAX_POWER:  # as certify would, before the numerators are built
             raise ValueError(f"N={n} exceeds 2**63 - 1, the largest power the engine takes")
-        # -l/k and l/k + u/v + 1/2 (mod 1), over n
-        first = np.arange(k) * (n // k)
-        second = (first + u * (n // v) + n // 2) % n
-        numerators, tag = tuple(np.unique([first, second]).tolist()), "rho1"
-    return certify(k, TWO_PI * float(uv), [(float(edge), n, numerators)],
-                   case_tag=tag, delta_two_pi=uv)[0]
+        # l/k and l/k + u/v + 1/2 (mod 1), over N
+        first = np.arange(k, dtype=dtype) * (n // k)
+        j = np.concatenate([first, (first + u * (n // v) + n // 2) % n])[None]
+        n = np.array([n], dtype)
+        numerators = _numerators(j, n[:, None], n)
+    return certify(k, TWO_PI * (u / v), np.array([float(edge)]), n, *numerators,
+                   case_tag=f"rho{edge}", delta_two_pi=uv).certificates()[0]
 
 
-def _search_plan(k: int, dtp: Fraction):
-    """(form points x as (num, den), degenerate-block (num, den) pairs, case tag) of a seed search."""
-    if not 0 <= dtp < 1:
-        raise ValueError(f"delta fraction must lie in [0, 1), got {dtp}")
-    u, v = dtp.as_integer_ratio()
-    forms, degenerate = _form_points(k, u, v)
-    if not 1 <= len(forms) <= 2:
-        raise ValueError(
-            f"k={k} at delta={dtp}*2*pi has {len(forms)} weight forms; "
-            "seed searches need one or two"
-        )
-    constants = {pair for l in degenerate for pair in _degenerate_pairs(k, l)}
-    tag = _SINGLE_FORM_TAGS[k] if len(forms) == 1 else "two_form"
-    return tuple((x, k * v) for x in forms), tuple(constants), tag
-
-
-def _candidates(dtp, constants, matches, max_n=None):
-    """Lazily, (rho, N, numerators over N) per (rho, seeds (p, q)) match; N an LCM <= max_n."""
-    u, v = dtp.as_integer_ratio()
-    for rho, seeds in matches:
-        pairs = [*constants, *(pair for p, q in seeds for pair in _companion_pairs(p, q, u, v))]
-        if period := _period(pairs, max_n):
-            yield rho, *period
-
-
-def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCertificate:
+def solve_seeded(
+    k: int, delta_two_pi: Fraction, seed: Fraction, max_n: int | None = None
+) -> RevivalCertificate:
     """The revival seeded by one fraction, for a (k, delta) with one weight form.
 
     The seed's companion class and the degenerate blocks' constant
     fractions are the generators; N is the LCM of their denominators.
-    Raises when the form count is not one or the weight is not in (0, 1).
+    Raises when the form count is not one, the weight is not in (0, 1),
+    or N exceeds max_n.
     """
     seed, dtp = Fraction(seed), Fraction(delta_two_pi)
     if not 0 < seed < 1:
@@ -241,15 +283,33 @@ def solve_seeded(k: int, delta_two_pi: Fraction, seed: Fraction) -> RevivalCerti
         raise ValueError(
             f"k={k} at delta={dtp}*2*pi has two weight forms; one seed cannot fill both"
         )
-    (p, q), (u, v) = seed.as_integer_ratio(), dtp.as_integer_ratio()
-    (side,) = _sides(xs, [(p, q)], u, v)
-    if not side:
+    (p, q), v = seed.as_integer_ratio(), dtp.denominator
+    seeds = np.array([[p], [q]], dtype=_int_type(8 * q * q * v * k))
+    rho, n, kept, j, distinct = _candidates(k, dtp, xs, constants, *seeds, max_n)
+    if not rho.size:
+        rho = weight(seed, dtp, Fraction(xs[0], k * v))
         raise ValueError(
-            f"seed {seed} with delta={dtp}*2*pi gives rho={weight(seed, dtp, Fraction(*xs[0]))!r}, "
-            "outside the open interval (0, 1)"
+            f"seed {seed} with delta={dtp}*2*pi gives rho={rho!r}, outside the open interval (0, 1)"
         )
-    candidates = _candidates(dtp, constants, [(side[0][0], ((p, q),))])
-    return certify(k, TWO_PI * float(dtp), candidates, case_tag=tag, delta_two_pi=dtp)[0]
+    if not kept[0]:
+        raise ValueError(f"seed {seed} gives N={n[0]}, above max_n={max_n}")
+    return certify(k, TWO_PI * float(dtp), rho, n, j, distinct, case_tag=tag,
+                   delta_two_pi=dtp).certificates()[0]
+
+
+def seed_search(
+    k: int, delta_two_pi: Fraction, max_den: int, max_n: int | None = None
+) -> CertificateColumns:
+    """`enumerate_seeded` as columns.  Every integer of the search lies below
+    8 * max_den**2 * v * k at delta = 2*pi*u/v: the columns are int64 while that bound is at
+    most 2**53, and Python ints (dtype=object, the same code) past it."""
+    dtp = Fraction(delta_two_pi)
+    xs, constants, tag = _search_plan(k, dtp)
+    seeds = _seeds(max_den, _int_type(8 * max_den**2 * dtp.denominator * k))
+    rho, n, kept, j, distinct = _candidates(k, dtp, xs, constants, *seeds, max_n)
+    columns = certify(k, TWO_PI * float(dtp), rho[kept], n[kept], j, distinct, case_tag=tag,
+                      delta_two_pi=dtp)
+    return columns.take(np.lexsort((columns.rho, columns.N)))  # stable on the search order
 
 
 def enumerate_seeded(
@@ -267,26 +327,9 @@ def enumerate_seeded(
     Candidates with N above max_n are dropped.  An empty family means no
     solution exists at this denominator bound.
     """
-    dtp = Fraction(delta_two_pi)
-    xs, constants, tag = _search_plan(k, dtp)
-    u, v = dtp.as_integer_ratio()
-    seeds = ((p, q) for q in range(2, max_den + 1) for p in range(1, q) if math.gcd(p, q) == 1)
-    sides = _sides(xs, seeds, u, v)
-    if len(sides) == 1:
-        matches = ((rho, ((p, q),)) for rho, _, p, q in sides[0])
-    else:
-        first, second = sides
-        second_rhos = [rho for rho, *_ in second]
-        matches = []
-        for rho, _, p, q in first:
-            i = bisect.bisect_left(second_rhos, rho - TWO_FORM_MATCH_TOL)
-            while i < len(second) and second[i][0] <= rho + TWO_FORM_MATCH_TOL:
-                matches.append((rho, ((p, q), second[i][2:])))
-                i += 1
-    candidates = _candidates(dtp, constants, matches, max_n)
-    certificates = certify(k, TWO_PI * float(dtp), candidates, case_tag=tag, delta_two_pi=dtp)
-    certificates.sort(key=lambda c: (c.N, c.rho))
-    return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
+    columns = seed_search(k, delta_two_pi, max_den, max_n)
+    return SolutionFamily(k=k, case_tag=columns.case_tag, delta_two_pi=columns.delta_two_pi,
+                          solutions=tuple(columns.certificates()))
 
 
 def _band_intervals(
@@ -362,11 +405,11 @@ def solve_approximate(
     delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
     params = CoinParams.from_delta(rho, delta_value)
 
-    pairs: set[tuple[int, int]] = set()  # reduced (num, den) fractions
+    pairs = []  # reduced (num, den) arrays, of Python ints: no int64 bound holds for their LCM
     if dtp is not None:
         u, v = dtp.as_integer_ratio()
         forms, degenerate = _form_points(k, u, v)
-        pairs.update(pair for l in degenerate for pair in _degenerate_pairs(k, l))
+        pairs.append(_degenerate_pairs(k, degenerate))
         for x in forms:
             form_den = 1.0 - math.cos(TWO_PI * (x / (k * v)))
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
@@ -375,7 +418,7 @@ def solve_approximate(
             picked = _smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
             if picked is None:
                 return None
-            pairs.update(_companion_pairs(*picked, u, v))
+            pairs.append(_companion_pairs(*np.array(picked, dtype=object).reshape(2, 1), u, v))
     else:
         # irrational delta: every eigenphase needs its own fraction; row l of
         # the spectrum is block l's pair, and each value is matched on its own
@@ -383,7 +426,7 @@ def solve_approximate(
         for l in range(k):
             form_den = 1.0 - math.cos(4.0 * math.pi * l / k + delta_value)
             if abs(form_den) < UNDEFINED_DENOMINATOR_TOL:
-                pairs.update(_degenerate_pairs(k, l))
+                pairs.append(_degenerate_pairs(k, l))
                 continue
             intervals = _band_intervals(rho, epsilon, form_den, delta_value)
             if intervals is None:
@@ -398,14 +441,12 @@ def solve_approximate(
                 picked = _smallest_fraction_in(near or intervals, APPROX_DENOMINATOR_CAP)
                 if picked is None:
                     return None
-                pairs.add(picked)
+                pairs.append(picked)
 
-    if (period := _period(pairs, APPROX_PERIOD_CAP)) is None:
+    nums, dens = (np.concatenate([np.ravel(a) for a in side]).astype(object)[None]
+                  for side in zip(*pairs))
+    n = np.lcm.reduce(dens, axis=1)
+    if n[0] > APPROX_PERIOD_CAP:
         return None
-    n, numerators = period
-    deviation = power_deviation(k, params, n)
-    return RevivalCertificate(
-        k=k, N=n, rho=float(rho), delta=delta_value, numerators=numerators,
-        max_deviation=deviation, case_tag="approximate", delta_two_pi=dtp,
-        exact=bool(deviation < CERTIFICATION_TOL),
-    )
+    return certify(k, delta_value, np.array([float(rho)]), n, *_numerators(nums, dens, n),
+                   case_tag="approximate", delta_two_pi=dtp, exact=False).certificates()[0]

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclewalk.cli import certificate_from_json, certificate_to_json, main
-from cyclewalk.revival import power_deviations
+from cyclewalk.revival import RevivalCertificate, power_deviations
 from oracles import reference_simulate
+from test_tables import GOLDEN_RHOS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,6 +47,13 @@ def read_csv(text):
         for key in ("re", "im", "prob"):
             row[key] = float(row[key])
     return rows
+
+
+#: `simulate` runs whose CSV and JSON bytes are pinned
+SIMULATE_GOLDEN = {
+    "simulate_cycle": "--k 3 --rho 2/3 --delta-frac 0/1 --steps 8",
+    "simulate_line": "--line --steps 3",
+}
 
 
 class TestSimulate:
@@ -133,14 +141,9 @@ class TestSimulate:
     # delta = 0 keeps every amplitude a product of sqrt(rho) terms, so the
     # bytes depend only on sqrt rounding, not on the order of complex products
     @pytest.mark.parametrize("out", ["csv", "json"])
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("simulate_cycle", "--k 3 --rho 2/3 --delta-frac 0/1 --steps 8".split()),
-            ("simulate_line", "--line --steps 3".split()),
-        ],
-    )
-    def test_golden_bytes(self, capsys, name, argv, out):
+    @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+    def test_golden_bytes(self, capsys, name, out):
+        argv = SIMULATE_GOLDEN[name].split()
         code, text, _ = run_cli(capsys, "simulate", *argv, "--out", out)
         assert code == 0
         assert text == (GOLDEN / f"{name}.{out}").read_text()
@@ -172,6 +175,45 @@ def test_solve_golden_deviation_is_measured_on_its_own_cycle(name):
         r = json.loads(line)
         own = power_deviations(r["k"], [r["rho"]["value"]], r["delta"]["radians"], [r["N"]])
         assert r["max_deviation"] == own[0], (r["k"], r["N"], r["rho"]["value"])
+
+
+#: `special` runs pinned with their argv, exit code and output
+SPECIAL_GOLDEN = ["period5", "full", "scalar_blocks", "k128", "stationary"]
+
+
+def test_every_golden_file_is_read_by_a_test():
+    # the tables above drive every test that reads tests/golden, with test_tables' weights
+    read = {
+        *(f"{name}.{out}" for name in SIMULATE_GOLDEN for out in ("csv", "json")),
+        *(f"solve_{name}.jsonl" for name in SOLVE_GOLDEN),
+        *(f"special_{name}.json" for name in SPECIAL_GOLDEN),
+        GOLDEN_RHOS.name,
+    }
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(read)
+    assert GOLDEN_RHOS.parent == GOLDEN
+
+
+def test_search_writes_its_lines_without_certificates_or_json_dumps(capsys, monkeypatch):
+    calls = []
+    init, dumps = RevivalCertificate.__init__, json.dumps
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("RevivalCertificate")
+        init(self, *args, **kwargs)
+
+    def counted_dumps(*args, **kwargs):
+        calls.append("json.dumps")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(RevivalCertificate, "__init__", counted_init)
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    argv = ["solve", "--case", "k3", "--delta-frac", "0/1", "--max-den", "96"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.count("\n") == 697
+    assert calls == []
+    # the spies see a run that builds its certificate
+    run_cli(capsys, "solve", "--case", "k3", "--delta-frac", "0/1", "--seed", "3/8")
+    assert calls == ["RevivalCertificate"]
 
 
 #: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts
@@ -420,6 +462,14 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--k", "2", "--case", "k2")
         assert code == 2
 
+    def test_seed_respects_max_n(self, capsys):
+        argv = ["solve", "--case", "k3", "--delta-frac", "0/1", "--seed", "3/8", "--max-n"]
+        code, out, err = run_cli(capsys, *argv, "3")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("cyclewalk: ") and "N=8" in err and "max_n=3" in err
+        code, out, err = run_cli(capsys, *argv, "8")
+        assert (code, err) == (0, "") and json.loads(out)["N"] == 8
+
     def test_rejected_seed_exits_1(self, capsys):
         # rho = 4/3 for this seed: construction failure, not usage error
         code, _, err = run_cli(
@@ -479,7 +529,7 @@ class TestSpecial:
 
     # pinned before eigenpairs moved to block space: the period-5 example, every
     # pair kept, the scalar blocks 2 and 6, k=128, and the stationary-only refusal
-    @pytest.mark.parametrize("name", ["period5", "full", "scalar_blocks", "k128", "stationary"])
+    @pytest.mark.parametrize("name", SPECIAL_GOLDEN)
     def test_golden_output(self, capsys, name):
         golden = json.loads((GOLDEN / f"special_{name}.json").read_text())
         code, out, err = run_cli(capsys, "special", *golden["argv"].split())
@@ -584,6 +634,32 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith("cyclewalk: ") and err.count("\n") == 1
         assert "--delta-frac" in err and argv[3 if argv[0] == "simulate" else 9] in err
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["solve", "--case", "k3", "--delta-frac", "0/1", "--max-den", "4", "--delta-rad",
+              "1.0", "--epsilon", "0.5"], ["--delta-rad", "--epsilon"]),
+            (["solve", "--case", "k3", "--delta-frac", "0/1", "--max-den", "10", "--rho", "0.3"],
+             ["--rho"]),
+            (["verify", "--table", "4", "--k", "3", "--n", "5"], ["--k", "--n"]),
+            (["simulate", "--line", "--k", "5", "--steps", "1"], ["--k"]),
+            (["solve", "--k", "3", "--case", "rho-edge", "--rho", "0", "--delta-frac", "1/3",
+              "--max-n", "9"], ["--max-n"]),
+            (["solve", "--k", "3", "--case", "approx", "--rho", "0.5", "--delta-frac", "0/1",
+              "--epsilon", "0.1", "--seed", "1/3"], ["--seed"]),
+            (["solve", "--k", "3", "--case", "rho-edge", "--rho", "1", "--delta-frac", "1/3",
+              "--max-den", "9"], ["--max-den"]),
+            (["solve", "--case", "k3", "--delta-frac", "0/1", "--seed", "3/8", "--max-den", "9"],
+             ["--max-den"]),
+        ],
+        ids=lambda value: " ".join(value),
+    )
+    def test_unread_flag_exits_2_naming_it(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("cyclewalk: ") and err.count("\n") == 1
+        assert all(flag in err for flag in flags), err
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,10 +3,12 @@
 Every producer builds its numerators in integers; these tests check each
 one against the Fraction generators the producers used to hand to the
 certificate and the sort/dedupe/LCM normalisation it applied to them
-(`oracles.normalized_generators`), check the JSON round trip, reject
-malformed numerators, and count the Fractions each hot path still builds.
+(`oracles.normalized_generators`), check the JSON round trip and the
+columnar line writer, reject malformed numerators, count the Fractions each
+hot path still builds, and run a search past its int64 bound on Python ints.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -23,8 +25,12 @@ from cyclewalk import (
     revival_period,
     solve_approximate,
     solve_rho_edge,
+    solve_seeded,
+    solver,
 )
-from cyclewalk.cli import certificate_from_json, certificate_to_json
+from cyclewalk.cli import _json_lines, certificate_from_json, certificate_to_json, main
+from cyclewalk.revival import CertificateColumns
+from cyclewalk.solver import seed_search
 from oracles import (
     normalized_generators,
     revival_period_per_phase,
@@ -195,3 +201,49 @@ def test_revival_period_keeps_a_true_revival_at_large_max_n():
     for max_n in (10**15, 10**20, 10**400):
         cert = revival_period(4, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=max_n)
         assert cert is not None and cert.N == 12, max_n
+
+
+def test_line_writer_matches_json_dumps():
+    # every record of the benchmark's searches, and the one-row results behind the goldens
+    # (rho edges, approximate, from --delta-frac and from --delta-rad) and a seeded run
+    records = 0
+    for k, dtp in PAPER_SEARCHES:
+        columns = seed_search(k, dtp, 96)
+        expected = [json.dumps(certificate_to_json(c)) + "\n" for c in columns.certificates()]
+        assert "".join(_json_lines(columns, rows=100)) == "".join(expected), (k, dtp)
+        records += len(expected)
+    assert records > 3000
+    for cert in (
+        solve_rho_edge(16, Fraction(3, 7), 0),
+        solve_rho_edge(16, Fraction(3, 7), 1),
+        solve_rho_edge(512, Fraction(3, 7), 1),
+        solve_approximate(6, 0.37, Fraction(1, 3), 0.02),
+        solve_approximate(2, 0.5, 1.0, 0.05),
+        solve_seeded(2, Fraction(2, 3), Fraction(2, 5)),
+    ):
+        line = json.dumps(certificate_to_json(cert)) + "\n"
+        assert list(_json_lines(CertificateColumns.of(cert))) == [line]
+
+
+def test_search_past_the_int64_bound_runs_on_python_ints(capsys):
+    # 8 * max_den**2 * v * k = 8 * 30**2 * 10**15 * 2 ~ 1.4e19 > 2**53 (and > 2**63)
+    k, dtp, max_den = 2, Fraction(499999999999999, 10**15), 30
+    xs, constants, _ = solver._search_plan(k, dtp)
+    p, q = solver._seeds(max_den, solver._int_type(8 * max_den**2 * dtp.denominator * k))
+    assert p.dtype == q.dtype == object
+    rho, n, kept, j, distinct = solver._candidates(k, dtp, xs, constants, p, q, None)
+    _, expected = seeded_candidates(k, dtp, max_den)
+    assert len(expected) == 205 and kept.all() and max(n) <= 2.9e16
+    assert [(r.hex(), m) for r, m in zip(rho.tolist(), n.tolist())] == [
+        (r.hex(), m) for r, m, _ in expected
+    ]
+    for m, row, new, (_, _, generators) in zip(n.tolist(), j.tolist(), distinct.tolist(), expected):
+        assert {Fraction(x, m) for x in itertools.compress(row, new)} == generators
+    # none of these N certifies; the first candidate in search order to miss I is named
+    code = main(["solve", "--k", "2", "--case", "k2", "--max-den", "30",
+                 "--delta-frac", "499999999999999/1000000000000000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "cyclewalk: certificate failed verification: k=2, N=1000000000000000, deviation 1.993e+00\n"
+    )

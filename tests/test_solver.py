@@ -37,9 +37,14 @@ RNG = np.random.default_rng(424242)
 SQRT5 = math.sqrt(5.0)
 
 
+def pair_set(nums, dens) -> set[tuple[int, int]]:
+    """The (num, den) pairs of the solver's array rules, as a set."""
+    return set(zip(np.ravel(nums).tolist(), np.ravel(dens).tolist()))
+
+
 class TestCompanions:
     def test_worked_example_set(self):
-        got = set(_companion_pairs(2, 5, 2, 3))
+        got = pair_set(*_companion_pairs(2, 5, 2, 3))
         assert got == {(4, 15), (2, 5), (23, 30), (9, 10)}
 
     def test_members_share_the_class(self):
@@ -49,11 +54,11 @@ class TestCompanions:
             v = int(RNG.integers(1, 12))
             u = int(RNG.integers(0, v))
             seed, dtp = Fraction(m, n), Fraction(u, v)
-            cls = set(_companion_pairs(*seed.as_integer_ratio(), *dtp.as_integer_ratio()))
+            cls = pair_set(*_companion_pairs(*seed.as_integer_ratio(), *dtp.as_integer_ratio()))
             # reduced (num, den) pairs of the Fraction reference
             assert cls == {f.as_integer_ratio() for f in companion_fractions(seed, dtp)}
             for member in cls:
-                assert set(_companion_pairs(*member, *dtp.as_integer_ratio())) == cls
+                assert pair_set(*_companion_pairs(*member, *dtp.as_integer_ratio())) == cls
 
     def test_undefined_blocks_exact(self):
         def degenerate(k, dtp):
@@ -68,14 +73,14 @@ class TestCompanions:
         assert degenerate(8, Fraction(1, 4)) == (3, 7)
 
     def test_constant_fractions(self):
-        assert set(_degenerate_pairs(3, 0)) == {(0, 1), (1, 2)}
-        assert set(_degenerate_pairs(4, 1)) == {(3, 4), (1, 4)}
+        assert pair_set(*_degenerate_pairs(3, 0)) == {(0, 1), (1, 2)}
+        assert pair_set(*_degenerate_pairs(4, 1)) == {(3, 4), (1, 4)}
 
     def test_degenerate_pairs_match_the_fraction_reference(self):
         for k in range(2, 65):
             for l in range(k):
                 expected = {f.as_integer_ratio() for f in constant_block_fractions(k, l)}
-                assert set(_degenerate_pairs(k, l)) == expected, (k, l)
+                assert pair_set(*_degenerate_pairs(k, l)) == expected, (k, l)
 
 
 def float_forms(k, dtp):
@@ -351,9 +356,9 @@ PAPER_SEARCHES = [
 ]
 
 
+@pytest.mark.parametrize("max_den", [24, 60])
 @pytest.mark.parametrize("k, dtp", PAPER_SEARCHES, ids=str)
-def test_integer_scan_matches_the_fraction_search(k, dtp):
-    max_den = 24
+def test_integer_scan_matches_the_fraction_search(k, dtp, max_den):
     max_n = 2 * max_den if k == 4 else None
     new = enumerate_seeded(k, dtp, max_den, max_n)
     old = enumerate_seeded_per_candidate(k, dtp, max_den, max_n)
@@ -394,10 +399,9 @@ def test_every_seeded_and_edge_period_is_even(monkeypatch):
     periods = []
     certify = solver.certify
 
-    def counted_certify(k, delta, candidates, **fields):
-        candidates = list(candidates)
-        periods.extend(n for _, n, _ in candidates)
-        return certify(k, delta, candidates, **fields)
+    def counted_certify(k, delta, rho, n, *columns, **fields):
+        periods.extend(n.tolist())
+        return certify(k, delta, rho, n, *columns, **fields)
 
     monkeypatch.setattr(solver, "certify", counted_certify)
     for k, dtp in PAPER_SEARCHES:
