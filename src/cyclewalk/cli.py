@@ -253,7 +253,10 @@ def cmd_verify(args) -> int:
         raise CliError(2, "single checks need --k, --rho, --delta-frac and --n")
     _require(args.n >= 1, f"--n must be at least 1 (U^0 = I certifies nothing), got {args.n}")
     params, dtp = _coin_params(args)
-    deviation = power_deviation(args.k, params, args.n)
+    try:
+        deviation = power_deviation(args.k, params, args.n)
+    except ValueError as exc:  # a power past 2**63 - 1, which the engine cannot take
+        raise CliError(2, str(exc)) from exc
     passed = bool(deviation < args.tol)
     print(
         json.dumps(

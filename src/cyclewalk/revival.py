@@ -1,10 +1,10 @@
 """Root-of-unity detection for walk spectra and revival certification.
 
-A full revival after N steps means every eigenvalue of the step operator is an N-th root of
-unity.  This module turns the eigenphases into reduced fractions in one proved
-continued-fraction pass, takes N as the LCM of their denominators, and certifies candidate
-periods by Fourier-block powering: every 2x2 symbol is raised to the N-th power through its
-eigenphases and one inverse FFT gives the first block column of U^N, O(k log k) for any N.
+A full revival after N steps means every eigenvalue of the step operator, exp(i*(phi +- theta_l)),
+is an N-th root of unity.  This module reads those phases off the block angles, proves them
+reduced fractions in one continued-fraction pass that stops at the first that fails, takes N as
+their denominators' LCM, and certifies candidate periods by Fourier-block powering: each 2x2
+symbol is raised to the N-th power and one inverse FFT gives U^N's first block column, O(k log k).
 `certify` measures the candidate columns of every seed search, rho edge and approximate run
 on their own k-cycle, a bounded chunk per pass, and returns them as `CertificateColumns`:
 one row per certificate, built into `RevivalCertificate`s only on request.
@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import full_spectrum
-from .walk import CoinParams, su2_form, su2_power
+from .walk import MAX_POWER, CoinParams, block_phases, su2_form, su2_power
 
 __all__ = [
     "CERTIFICATION_TOL",
@@ -42,7 +41,6 @@ CERTIFICATION_TOL = 1e-9
 PHASE_RECONSTRUCTION_TOL = 1e-9
 UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
-MAX_POWER = 2**63 - 1  # powers are int64 in the engine; no revival that long certifies
 
 #: Fourier blocks per engine pass in `certify`; bounds its memory
 _CHUNK_BLOCKS = 2048
@@ -59,37 +57,40 @@ _PROVABLE_DEN = 2**24
 
 def _proved_fractions(x: np.ndarray, max_n: int):
     """Last float continued-fraction convergent p/q of each x in [0, 1] with q <= max_n,
-    where max_n is first capped at 2**24 (`_PROVABLE_DEN`).
+    where max_n is first capped at 2**24 (`_PROVABLE_DEN`), until one x fails its proof.
 
     `proved` marks |x - p/q| < 1/(2*q*max_n): any other r/s with s <= max_n lies at least
     1/(q*s) from p/q, so p/q is Fraction(x).limit_denominator(min(max_n, 2**24)), a convergent
     (Legendre: no semiconvergent step needed), and reduced, its float recurrence exact.
+
+    That test proves any p/q with q <= max_n, so each x is tested as its convergent settles
+    (leaves the loop).  The loop stops at the first settled x that fails: its p/q is final, so
+    not every x can prove; the x still unsettled read proved=False, the rest as without a stop.
     """
     max_n = min(max_n, _PROVABLE_DEN)
     p0, q0, p, q = (np.full_like(x, v) for v in (0.0, 1.0, 1.0, 0.0))
-    rest, live = x, np.ones(x.shape, dtype=bool)
+    rest, live, proved = x, np.ones(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while live.any():
             a = np.floor(rest)
             q_next = q0 + a * q
             live &= q_next <= max_n
-            p0, p = np.where(live, p, p0), np.where(live, p0 + a * p, p)
-            q0, q = np.where(live, q, q0), np.where(live, q_next, q)
+            # a settled entry keeps its p/q; its p0/q0 go unused from then on
+            p0, p = p, np.where(live, p0 + a * p, p)
+            q0, q = q, np.where(live, q_next, q)
             live &= rest > a
             rest = 1.0 / (rest - a)
-        proved = np.abs(x - p / q) < 0.5 / (q * max_n) - _PROOF_MARGIN
-    return p, q, proved
+            proved = np.abs(x - p / q) < 0.5 / (q * max_n) - _PROOF_MARGIN
+            if not (proved | live).all():
+                break
+    return p, q, proved & ~live
 
 
 def power_deviations(k: int, rho, delta: float, n) -> np.ndarray:
     """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta),
     in one engine pass whose memory grows with the number of coins."""
-    # a list is read as Python ints, which numpy could round to floats; no int64 N passes the cap
+    # a list is read as Python ints, which numpy could round to floats; su2_power refuses big ones
     n = (n if isinstance(n, np.ndarray) else np.array(n, dtype=object)).reshape(-1, 1)
-    if n.dtype.kind != "i":
-        if n.size and (top := n.max()) > MAX_POWER:
-            raise ValueError(f"N={top} exceeds 2**63 - 1, the largest power the engine takes")
-        n = n.astype(np.int64)
     rho = np.asarray(rho, dtype=float).reshape(-1, 1)
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
@@ -231,7 +232,7 @@ def revival_period(
     params: CoinParams,
     max_n: int = DEFAULT_MAX_DENOMINATOR,
 ) -> RevivalCertificate | None:
-    """Detect the revival period from the closed-form spectrum.
+    """Detect the revival period from the closed-form spectrum, the block angles of `su2_form`.
 
     Every eigenphase must be proved (`_proved_fractions`) as a fraction within
     PHASE_RECONSTRUCTION_TOL with denominator at most min(max_n, 2**24); the candidate period
@@ -240,7 +241,8 @@ def revival_period(
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    x = np.angle(full_spectrum(k, params)) / TWO_PI % 1.0
+    theta = su2_form(k, params.rho, params.alpha, params.delta)[3]
+    x = block_phases(theta, params.delta) / TWO_PI % 1.0  # the 2k eigenphases, in turns
     p, q, proved = _proved_fractions(x, max_n)
     if not (proved.all() and (np.abs(x - p / q) < PHASE_RECONSTRUCTION_TOL).all()):
         return None

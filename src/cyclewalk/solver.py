@@ -33,7 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from .revival import (
-    MAX_POWER,
     UNDEFINED_DENOMINATOR_TOL,
     CertificateColumns,
     RevivalCertificate,
@@ -253,9 +252,7 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         n, numerators = np.array([2 * v], dtype), (np.array([[u, u + v]], dtype),
                                                    np.array([[True, True]]))
     else:
-        n = math.lcm(2, k, v * k)
-        if n > MAX_POWER:  # as certify would, before the numerators are built
-            raise ValueError(f"N={n} exceeds 2**63 - 1, the largest power the engine takes")
+        n = math.lcm(2, k, v * k)  # past 2**63 - 1, certify refuses it
         # l/k and l/k + u/v + 1/2 (mod 1), over N
         first = np.arange(k, dtype=dtype) * (n // k)
         j = np.concatenate([first, (first + u * (n // v) + n // 2) % n])[None]

@@ -38,6 +38,7 @@ TWO_PI = 2.0 * math.pi
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
+MAX_POWER = 2**63 - 1  # powers are int64 in the engine, never rounded floats; none longer certifies
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
@@ -134,7 +135,7 @@ class WalkOperator:
         return symbols
 
     def power(self, n: int) -> np.ndarray:
-        """Symbols of U^n, (k, 2, 2), in O(k) for any n and on the unit circle for large n."""
+        """Symbols of U^n, (k, 2, 2), in O(k) for n <= MAX_POWER, on the unit circle at large n."""
         diag, off, phase = su2_power(self.su2, self.params.delta, int(n))
         blocks = np.empty((self.k, 2, 2), dtype=np.complex128)
         blocks[:, 0, 0], blocks[:, 0, 1] = diag, off
@@ -175,12 +176,21 @@ def su2_form(k: int, rho, alpha: float, delta: float):
     return x, y, sin_t, np.arctan2(sin_t, x.real)
 
 
+def block_phases(theta, delta: float) -> np.ndarray:
+    """Eigenphases phi +- theta_l of the blocks A_l = exp(i*phi) V_l, on a new last axis of 2."""
+    return 0.5 * (delta + math.pi) + np.stack([theta, -theta], axis=-1)
+
+
 def su2_power(su2, delta: float, n):
     """(diag, off, phase) of A_l^n = phase * [[diag, off], [-conj(off), conj(diag)]] from
-    `su2_form` parts and powers n >= 0 shaped like its weights, with phase = exp(i*n*phi)."""
+    `su2_form` parts and powers 0 <= n <= MAX_POWER, shaped like its weights, phase exp(i*n*phi)."""
     x, y, sin_t, theta = su2
-    if np.asarray(n).min() < 0:
-        raise ValueError(f"power must be nonnegative, got {np.min(n)}")
+    n = np.asarray(n)
+    if n.min() < 0:
+        raise ValueError(f"power must be nonnegative, got {n.min()}")
+    if n.dtype.kind != "i" and (top := n.max()) > MAX_POWER:  # past int64: object or uint64
+        raise ValueError(f"N={top} exceeds 2**63 - 1, the largest power the engine takes")
+    n = n.astype(np.int64, copy=False)
     angle = n * theta
     g = np.divide(np.sin(angle), sin_t, out=np.zeros(angle.shape), where=sin_t > 0)
     # exp(i*n*phi) = i^n exp(i*n*delta/2), with i^n exact
@@ -238,10 +248,7 @@ def evolve(state: WalkerState, op: WalkOperator, steps: int) -> WalkerState:
         raise ValueError(
             f"state lives on a {state.k}-cycle but the operator acts on {op.k}"
         )
-    steps = int(steps)
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if steps == 0:
+    if int(steps) == 0:  # su2_power refuses a negative count or one past MAX_POWER
         return state
     psi = np.fft.fft(np.reshape(state.amplitudes, (op.k, 2)), axis=0)
     moved = (op.power(steps) @ psi[:, :, None])[:, :, 0]

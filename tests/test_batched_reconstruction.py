@@ -1,11 +1,12 @@
 """The batched phase reconstruction and the integer rho=1 generators.
 
-`revival_period` reconstructs the whole spectrum with one float continued
-fraction and proves each result, with no per-phase fallback; these tests
-check every proved entry against `Fraction.limit_denominator`, that a float
-p/q with q <= 2**24 proves as p/q at any max_n, the whole path against the
-exact per-phase reference in `oracles`, and that large spectra never call
-`Fraction.limit_denominator`.
+`revival_period` reads the whole spectrum off the block angles, reconstructs it
+with one float continued fraction that stops at the first phase which cannot be
+proved, and proves each result, with no per-phase fallback; these tests check
+every proved entry against `Fraction.limit_denominator`, that a float p/q with
+q <= 2**24 proves as p/q at any max_n, the early stop and the bound it stops at,
+the whole path against the exact per-phase reference in `oracles`, and that
+large spectra never call `Fraction.limit_denominator` or build eigenvectors.
 """
 
 import math
@@ -23,8 +24,9 @@ from cyclewalk import (
     revival_period,
     solve_rho_edge,
 )
-from cyclewalk import revival
+from cyclewalk import revival, spectral
 from cyclewalk.revival import MAX_POWER, _proved_fractions
+from cyclewalk.walk import WalkOperator, block_phases, su2_form
 from oracles import revival_period_per_phase, rho_one_generators
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +119,27 @@ def test_ties_and_wraps_are_not_proved_wrongly():
     assert (p[1:] / q[1:]).tolist() == [0.5, 1.0]
 
 
+def test_first_settled_failure_stops_the_loop():
+    # at max_n=10, sqrt(2) - 1 settles unproved at 2/5 while 5/8 is still at 2/3: the loop
+    # stops there, and 5/8, which proves on its own, reads unproved
+    p, q, proved = _proved_fractions(np.array([math.sqrt(2) - 1, 0.625]), 10)
+    assert proved.tolist() == [False, False] and q.tolist() == [5.0, 3.0]
+    p, q, proved = _proved_fractions(np.array([0.625]), 10)
+    assert proved.tolist() == [True] and (p / q).tolist() == [0.625]
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 64])
+@pytest.mark.parametrize("uv", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
+                                Fraction(5, 12), Fraction(1, 1000)], ids=str)
+def test_rho0_period_is_found_exactly_at_its_bound(k, uv):
+    # rho=0 at delta/2pi = u/v has N = 2v: one below, a phase 2v cannot prove and the loop stops
+    params = CoinParams.from_delta(0.0, TWO_PI * float(uv))
+    v = uv.denominator
+    assert revival_period(k, params, max_n=2 * v - 1) is None
+    cert = revival_period(k, params, max_n=2 * v)
+    assert cert is not None and cert.N == 2 * v
+
+
 def same_answer(k, params, max_n):
     cert = revival_period(k, params, max_n=max_n)
     reference = revival_period_per_phase(k, params, max_n)
@@ -140,6 +163,8 @@ weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_va
 @example(k=3, rho=2 / 3, delta=0.0, max_n=100)
 @example(k=3, rho=2 / 3, delta=0.0, max_n=10**400)
 @example(k=64, rho=1.0, delta=TWO_PI * 3 / 7, max_n=10**6)
+@example(k=64, rho=0.5, delta=0.0, max_n=1000)
+@example(k=512, rho=0.5, delta=0.0, max_n=10**6)
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     k=st.integers(min_value=2, max_value=64),
@@ -174,7 +199,14 @@ def test_large_spectrum_needs_no_per_phase_fallback(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("revival_period reads its phases from the block angles")
+
     monkeypatch.setattr(Fraction, "limit_denominator", counted)
+    # nor does it build an operator or eigenvectors
+    monkeypatch.setattr(spectral, "block_eigenpairs", refuse)
+    monkeypatch.setattr(spectral, "full_spectrum", refuse)
+    monkeypatch.setattr(WalkOperator, "__post_init__", refuse)
     cert = revival_period(4096, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=10**6)
     assert cert is not None and cert.N == math.lcm(2, 4096, 3 * 4096)
     assert revival_period(512, HADAMARD) is None
@@ -184,9 +216,10 @@ def test_large_spectrum_needs_no_per_phase_fallback(monkeypatch):
 def test_no_power_past_int64_is_tried(monkeypatch):
     # every phase of this k=3 coin proves at some q <= 2**24, but their LCM is about 2.3e38
     params = CoinParams.from_delta(0.6681574410339702, 5.308289894912453)
-    x = np.angle(revival.full_spectrum(3, params)) / TWO_PI % 1.0
+    x = block_phases(su2_form(3, params.rho, params.alpha, params.delta)[3], params.delta)
+    x = x / TWO_PI % 1.0
     _, q, proved = _proved_fractions(x, 10**400)
-    assert proved.all() and math.lcm(*q.astype(int).tolist()) > MAX_POWER
+    assert proved.all() and math.lcm(*q.astype(int).ravel().tolist()) > MAX_POWER
     calls = []
     monkeypatch.setattr(revival, "power_deviation", lambda *args: calls.append(args) or 0.0)
     assert revival_period(3, params, max_n=10**400) is None

@@ -676,12 +676,21 @@ class TestInputContract:
         assert (code, out) == (1, "")
         assert err.startswith("cyclewalk: N=") and err.count("\n") == 1
 
-    def test_single_check_at_a_power_past_int64_keeps_its_report(self, capsys):
+    @pytest.mark.parametrize("n", [str(2**63), "9" * 20, str(2**70)])
+    def test_single_check_at_a_power_past_int64_exits_2(self, capsys, n):
+        # 2**70 is a multiple of this coin's period 8: a float power would read a false fail
         code, out, err = run_cli(
-            capsys, "verify", "--k", "4", "--rho", "1/2", "--delta-frac", "0/1", "--n", "9" * 20
+            capsys, "verify", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--n", n
+        )
+        assert (code, out) == (2, "")
+        assert err == f"cyclewalk: N={n} exceeds 2**63 - 1, the largest power the engine takes\n"
+
+    def test_single_check_at_the_largest_power_keeps_its_report(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "4", "--rho", "1/2", "--delta-frac", "0/1", "--n", str(2**63 - 1)
         )
         assert (code, err) == (1, "")
-        assert json.loads(out)["N"] == 10**20 - 1 and json.loads(out)["pass"] is False
+        assert json.loads(out)["N"] == 2**63 - 1 and json.loads(out)["pass"] is False
 
     def test_zero_power_is_not_a_certificate(self, capsys):
         # U^0 = I for every coin, so N=0 would pass any walk

@@ -207,8 +207,9 @@ def test_batch_rejects_a_power_past_int64():
         power_deviations(3, [0.5], 1.0, [10**20])
     with pytest.raises(ValueError, match=f"N={2**63} exceeds"):
         power_deviations(3, [0.5, 0.5], 1.0, [8, 2**63])
-    # one coin takes any power, as `verify --n` does; it only cannot certify
-    assert power_deviation(4, CoinParams(0.5), 10**20) > 1e-9
+    # one coin is refused too: a float power would read a false fail (2**70 is a multiple of 8)
+    with pytest.raises(ValueError, match=f"N={2**70} exceeds"):
+        power_deviation(3, CoinParams(2 / 3), 2**70)
 
 
 def test_batch_memory_is_bounded_in_its_size():

@@ -170,6 +170,22 @@ class TestEvolve:
         out = evolve(state, op, 8)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [(-1, "power must be nonnegative"), (2**63, f"N={2**63} exceeds"), (2**70, f"N={2**70} exceeds")],
+    )
+    def test_negative_or_past_int64_power_is_refused(self, steps, message):
+        # 2**70 is a multiple of the period 8: a float power would miss the start by 1.45 in norm
+        state = WalkerState.basis_state(3, 0, 0)
+        op = build_walk_operator(3, CoinParams(2.0 / 3.0))
+        with pytest.raises(ValueError, match=message):
+            evolve(state, op, steps)
+
+    def test_largest_power_is_taken(self):
+        state = WalkerState.basis_state(3, 0, 0)
+        out = evolve(state, build_walk_operator(3, CoinParams(2.0 / 3.0)), 2**63 - 1)
+        assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
+
     def test_norm_conserved_over_thousand_steps(self):
         matrix = walk_matrix(build_walk_operator(5, random_params()))
         amps = np.zeros(10, complex)
