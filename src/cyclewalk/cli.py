@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .exprs import ExpressionError, parse_fraction, parse_value
 from .revival import CERTIFICATION_TOL, CertificateColumns, RevivalCertificate, power_deviation
 from .solver import seed_search, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
-from .tables import verify_table
-from .walk import CoinParams, WalkerState, build_walk_operator, evolve, line_steps
+from .tables import table_columns
+from .walk import MAX_POWER, CoinParams, WalkerState, build_walk_operator, evolve, line_steps
 
 __all__ = ["certificate_from_json", "certificate_to_json", "main"]
 
@@ -229,26 +230,18 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.table is not None:
         _unread(args, ("k", "rho", "delta_frac", "n"), "verify --table")
-        report = verify_table(args.table, tol=args.tol)
-        payload = {
-            "table": report.table,
-            "tolerance": report.tolerance,
-            "all_pass": report.all_pass,
-            "checks": [
-                {
-                    "k": c.k,
-                    "N": c.n,
-                    "rho": c.rho,
-                    "rho_display": c.rho_display,
-                    "delta_two_pi": str(c.delta_two_pi),
-                    "deviation": c.deviation,
-                    "pass": c.passed,
-                }
-                for c in report.checks
-            ],
-        }
-        print(json.dumps(payload))
-        return 0 if report.all_pass else 1
+        # the line json.dumps writes of the report as a dict, from the table's columns
+        rows, index, k, turns, deviation = table_columns(args.table)
+        heads = [f'"N": {row.n}, "rho": {row.rho!r}, "rho_display": '
+                 f'{encode_basestring_ascii(row.rho_display)}, "delta_two_pi": "' for row in rows]
+        passed = (deviation < args.tol).tolist()
+        checks = ", ".join([
+            f'{{"k": {k}, {heads[i]}{d}", "deviation": {x!r}, "pass": {("false", "true")[p]}}}'
+            for i, k, d, x, p in zip(index.tolist(), k.tolist(), turns, deviation.tolist(), passed)
+        ])
+        sys.stdout.write(f'{{"table": {args.table}, "tolerance": {args.tol!r}, "all_pass": '
+                         f'{("false", "true")[all(passed)]}, "checks": [{checks}]}}\n')
+        return 0 if all(passed) else 1
     if args.k is None or args.rho is None or args.delta_frac is None or args.n is None:
         raise CliError(2, "single checks need --k, --rho, --delta-frac and --n")
     _require(args.n >= 1, f"--n must be at least 1 (U^0 = I certifies nothing), got {args.n}")
@@ -330,6 +323,8 @@ def cmd_solve(args) -> int:
 
 def cmd_special(args) -> int:
     _require(args.period >= 1, f"--period must be positive, got {args.period}")
+    _require(args.period <= MAX_POWER,  # the state is evolved by the period
+             f"--period={args.period} exceeds 2**63 - 1, the largest power the engine takes")
     params, dtp = _coin_params(args)
     basis = eigenbasis(args.k, params)
     subspace = demoivre_subspace(basis, args.period, tol=args.tol)

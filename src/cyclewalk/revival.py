@@ -86,19 +86,20 @@ def _proved_fractions(x: np.ndarray, max_n: int):
     return p, q, proved & ~live
 
 
-def power_deviations(k: int, rho, delta: float, n) -> np.ndarray:
-    """Max-entry deviation from I of U^n[i] for the coins rho[i], delta (any alpha + beta),
-    in one engine pass whose memory grows with the number of coins."""
+def power_deviations(k: int, rho, delta, n) -> np.ndarray:
+    """Max-entry deviation from I of U^n[i] for the coins rho[i], delta[i] (any alpha + beta; or
+    one float delta for all), in one engine pass whose memory grows with the number of coins."""
     # a list is read as Python ints, which numpy could round to floats; su2_power refuses big ones
     n = (n if isinstance(n, np.ndarray) else np.array(n, dtype=object)).reshape(-1, 1)
     rho = np.asarray(rho, dtype=float).reshape(-1, 1)
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
+    delta = np.reshape(delta, rho.shape) if np.ndim(delta) else delta  # one per coin, or raise
     return _deviation(k, rho, delta, n)
 
 
-def _deviation(k: int, rho, delta: float, n):
-    """One engine pass over weights and powers of one shape, () or (batch, 1).
+def _deviation(k: int, rho, delta, n):
+    """One engine pass over weights, phases and powers of one shape, () or (batch, 1).
 
     U^n - I is block circulant: its entries are those of its first block column, the inverse
     FFT of the powered symbols minus I at offset 0.  In the block form of `su2_power` those
@@ -254,6 +255,6 @@ def revival_period(
     deviation = power_deviation(k, params, n)
     if not deviation < CERTIFICATION_TOL:
         return None
-    numerators = np.unique(p % q * (n // q)).tolist()
-    return RevivalCertificate(k=k, N=n, rho=params.rho, delta=params.delta,
-                              numerators=tuple(numerators), max_deviation=deviation)
+    j = np.sort(p % q * (n // q), axis=None)  # the first of each run: np.unique is slower
+    j = j[np.concatenate(([True], j[1:] != j[:-1]))].tolist()
+    return RevivalCertificate(k, n, params.rho, params.delta, tuple(j), deviation)

@@ -3,8 +3,8 @@
 Each row holds its exact weight once, as the paper's expression (surds, pi,
 sin and cos of rational multiples of pi) in `rho_display`; `rho` evaluates it
 with the command-line grammar of `exprs.parse_value` on first use. `verify_table`
-powers every (k, rho, delta) combination a row lists to the row's N, one batch
-per (k, delta), and reports the max-entry deviation from the identity.
+powers every (k, rho, delta) combination a row lists to the row's N, one engine
+pass per cycle length, and reports the max-entry deviation from the identity.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .exprs import parse_value
 from .revival import CERTIFICATION_TOL, power_deviations
@@ -27,6 +29,7 @@ __all__ = [
     "TableCheck",
     "TableReport",
     "TableRow",
+    "table_columns",
     "verify_table",
 ]
 
@@ -289,30 +292,30 @@ class TableReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def verify_table(table: int, tol: float = CERTIFICATION_TOL) -> TableReport:
-    """Power every row of a published table and report per-row deviations.
-
-    For the k=3 table each row is checked at k=3 and k=6 (equal solution
-    sets); the k=5,10 rows are checked at both cycle lengths as well.
-    """
+def table_columns(table: int):
+    """The table's rows and its checks in order (row, k, delta) as columns, one engine pass per
+    cycle length: (rows, row index, k, delta/(2*pi), deviation).  Table 3's rows are checked at
+    k=3 and k=6 (equal solution sets), table 5's k=5,10 rows at both cycle lengths as well."""
     if table not in _TABLES:
         raise ValueError(f"table must be one of {sorted(_TABLES)}, got {table}")
-    combos = [
-        (row, k, dtp) for row in _TABLES[table] for k in row.k_values for dtp in row.delta_two_pi
-    ]
-    groups: dict[tuple[int, Fraction], list[int]] = {}
-    for i, (_, k, dtp) in enumerate(combos):
-        groups.setdefault((k, dtp), []).append(i)
-    # one engine batch per (k, delta), scattered back to the rows' order
-    deviations = [0.0] * len(combos)
-    for (k, dtp), idx in groups.items():
-        rows = [combos[i][0] for i in idx]
-        rhos, ns = [r.rho for r in rows], [r.n for r in rows]
-        for i, deviation in zip(idx, power_deviations(k, rhos, TWO_PI * float(dtp), ns).tolist()):
-            deviations[i] = deviation
-    checks = tuple(
-        TableCheck(k=k, n=row.n, rho=row.rho, rho_display=row.rho_display, delta_two_pi=dtp,
-                   deviation=deviation, passed=deviation < tol)
-        for (row, k, dtp), deviation in zip(combos, deviations)
-    )
+    rows = _TABLES[table]
+    # num/den rounds as float(dtp) does, without the cost of Fraction.__float__
+    index, k, turns, num, den = zip(*[
+        (i, cycle, dtp, *dtp.as_integer_ratio())
+        for i, row in enumerate(rows) for cycle in row.k_values for dtp in row.delta_two_pi
+    ])
+    index, k, delta = np.array(index), np.array(k), TWO_PI * (np.array(num) / np.array(den))
+    rho, n = np.array([row.rho for row in rows])[index], np.array([row.n for row in rows])[index]
+    deviation = np.empty(len(index))
+    for cycle in dict.fromkeys(k.tolist()):  # np.unique's first call would import numpy.ma
+        at = k == cycle
+        deviation[at] = power_deviations(cycle, rho[at], delta[at], n[at])
+    return rows, index, k, turns, deviation
+
+
+def verify_table(table: int, tol: float = CERTIFICATION_TOL) -> TableReport:
+    """Power every row of a published table (see `table_columns`) and report per-row deviations."""
+    rows, index, k, turns, deviation = table_columns(table)
+    checks = tuple(TableCheck(k, rows[i].n, rows[i].rho, rows[i].rho_display, dtp, dev, dev < tol)
+                   for i, k, dtp, dev in zip(index.tolist(), k.tolist(), turns, deviation.tolist()))
     return TableReport(table=table, tolerance=tol, checks=checks)

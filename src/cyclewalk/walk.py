@@ -160,15 +160,16 @@ def _roots(k: int) -> np.ndarray:
     return np.exp(2j * math.pi / k * np.arange(k))
 
 
-def su2_form(k: int, rho, alpha: float, delta: float):
+def su2_form(k: int, rho, alpha, delta):
     """(x, y, sin_theta, theta), each rho.shape + (k,), of the blocks V_l (see `WalkOperator`)
-    for weights rho, () or (batch, 1), sharing alpha and delta; UNITARY_TOL-checked."""
+    for weights rho, () or (batch, 1), and alpha, delta: floats or like rho; UNITARY_TOL-checked."""
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
+    exp = np.exp if isinstance(delta, np.ndarray) else cmath.exp  # cmath is faster on one coin
     # row 0 of V_l is w^l (C_00, C_01) exp(-i*phi); row 1 follows from the SU(2) form
-    w = _roots(k) * cmath.exp(-0.5j * (delta + math.pi))
+    w = _roots(k) * exp(-0.5j * (delta + math.pi))
     q = np.sqrt(1.0 - rho)
-    x, y = w * np.sqrt(rho), w * (q * cmath.exp(1j * alpha))
+    x, y = w * np.sqrt(rho), w * (q * exp(1j * alpha))
     sin_t = np.hypot(x.imag, q)
     deviation = np.abs(np.hypot(x.real, sin_t) - 1.0).max()
     if deviation > UNITARY_TOL:
@@ -181,7 +182,7 @@ def block_phases(theta, delta: float) -> np.ndarray:
     return 0.5 * (delta + math.pi) + np.stack([theta, -theta], axis=-1)
 
 
-def su2_power(su2, delta: float, n):
+def su2_power(su2, delta, n):
     """(diag, off, phase) of A_l^n = phase * [[diag, off], [-conj(off), conj(diag)]] from
     `su2_form` parts and powers 0 <= n <= MAX_POWER, shaped like its weights, phase exp(i*n*phi)."""
     x, y, sin_t, theta = su2

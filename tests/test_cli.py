@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from cyclewalk.cli import certificate_from_json, certificate_to_json, main
 from cyclewalk.revival import RevivalCertificate, power_deviations
+from cyclewalk.tables import TableCheck, verify_table
 from oracles import reference_simulate
 from test_tables import GOLDEN_RHOS
 
@@ -180,6 +181,21 @@ def test_solve_golden_deviation_is_measured_on_its_own_cycle(name):
 #: `special` runs pinned with their argv, exit code and output
 SPECIAL_GOLDEN = ["period5", "full", "scalar_blocks", "k128", "stationary"]
 
+#: `verify --table` runs whose line and exit code are pinned, one failing at a tolerance too tight
+VERIFY_TABLE_GOLDEN = {
+    **{f"table{t}": (f"--table {t}", 0) for t in range(1, 6)},
+    "table5_tol1e-15": ("--table 5 --tol 1e-15", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_TABLE_GOLDEN))
+def test_verify_table_golden_bytes(capsys, name):
+    argv, want = VERIFY_TABLE_GOLDEN[name]
+    code, text, err = run_cli(capsys, "verify", *argv.split())
+    assert (code, err) == (want, "")
+    assert text == (GOLDEN / f"verify_{name}.json").read_text()
+    assert json.loads(text)["all_pass"] is (want == 0)
+
 
 def test_every_golden_file_is_read_by_a_test():
     # the tables above drive every test that reads tests/golden, with test_tables' weights
@@ -187,6 +203,7 @@ def test_every_golden_file_is_read_by_a_test():
         *(f"{name}.{out}" for name in SIMULATE_GOLDEN for out in ("csv", "json")),
         *(f"solve_{name}.jsonl" for name in SOLVE_GOLDEN),
         *(f"special_{name}.json" for name in SPECIAL_GOLDEN),
+        *(f"verify_{name}.json" for name in VERIFY_TABLE_GOLDEN),
         GOLDEN_RHOS.name,
     }
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(read)
@@ -214,6 +231,21 @@ def test_search_writes_its_lines_without_certificates_or_json_dumps(capsys, monk
     # the spies see a run that builds its certificate
     run_cli(capsys, "solve", "--case", "k3", "--delta-frac", "0/1", "--seed", "3/8")
     assert calls == ["RevivalCertificate"]
+
+
+def test_table_report_is_written_without_checks_or_json_dumps(capsys, monkeypatch):
+    calls = []
+    init, dumps = TableCheck.__init__, json.dumps
+    monkeypatch.setattr(TableCheck, "__init__",
+                        lambda self, *a, **kw: calls.append("TableCheck") or init(self, *a, **kw))
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append("json.dumps") or dumps(*a, **kw))
+    for table in range(1, 6):
+        code, out, _ = run_cli(capsys, "verify", "--table", str(table))
+        assert code == 0 and out.count("\n") == 1
+    assert calls == []
+    # the spies see a run that builds its checks
+    verify_table(2)
+    assert calls == ["TableCheck"] * 8
 
 
 #: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts
@@ -562,6 +594,9 @@ class TestInputContract:
             ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "5/4", "--n", "8"],
             ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "5/4", "--period", "5"],
             ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "0/1", "--period", "0"],
+            # the state would be evolved by a power past int64
+            ["special", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--period", str(2**70)],
+            ["special", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--period", str(2**63)],
             ["simulate", "--k", "3", "--steps", "-1"],
             ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-den", "0"],
             ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-n", "0"],

@@ -172,6 +172,31 @@ def test_batch_matches_each_row_alone(k, delta, rows):
         assert abs(deviation - alone) < 1e-13 * max(1, n)
 
 
+coins = st.lists(
+    st.tuples(weights, deltas, st.one_of(st.sampled_from([0, 1]), st.integers(2, 10**6))),
+    min_size=1,
+    max_size=8,
+)
+
+
+@example(k=6, coins=[(1 / 3, 0.0, 12), (1 / 3, TWO_PI / 3, 12), (2 / 3, TWO_PI * 2 / 3, 24)])
+@example(k=2, coins=[(1.0, math.pi, 0), (0.0, 0.0, 10**6)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(2, 64), coins=coins)
+def test_per_coin_deltas_match_each_coin_alone_bit_for_bit(k, coins):
+    # the tables batch every coin of one cycle, whatever its delta, in one pass
+    rhos, deltas_, ns = zip(*coins)
+    batched = power_deviations(k, rhos, deltas_, ns)
+    assert batched.shape == (len(coins),)
+    for (rho, delta, n), deviation in zip(coins, batched.tolist()):
+        assert deviation == power_deviation(k, CoinParams.from_delta(rho, delta), n)
+
+
+def test_per_coin_deltas_need_one_per_coin():
+    with pytest.raises(ValueError):
+        power_deviations(5, [0.5, 0.25, 0.75], [0.0, 1.0], [3, 4, 5])
+
+
 @pytest.mark.parametrize(
     "k, rows, false_row",
     [

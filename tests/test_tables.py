@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclewalk import CoinParams, power_deviation, verify_table
+from cyclewalk import CoinParams, power_deviation, tables, verify_table
 from cyclewalk.tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -42,6 +42,20 @@ def test_batched_rows_match_the_scalar_deviation(table):
         alone = power_deviation(check.k, params, check.n)
         assert abs(check.deviation - alone) < 1e-13 * max(1, check.n), check
         assert check.passed == (check.deviation < report.tolerance)
+
+
+@pytest.mark.parametrize("table, cycles", [(1, 6), (2, 1), (3, 2), (4, 1), (5, 3)])
+def test_one_engine_pass_per_cycle_length(monkeypatch, table, cycles):
+    passes = []
+    engine = tables.power_deviations
+
+    def counted(k, rho, delta, n):
+        passes.append(k)
+        return engine(k, rho, delta, n)
+
+    monkeypatch.setattr(tables, "power_deviations", counted)
+    report = verify_table(table)
+    assert sorted(passes) == sorted({c.k for c in report.checks}) and len(passes) == cycles
 
 
 def test_table3_checks_both_cycle_lengths():
