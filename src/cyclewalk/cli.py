@@ -20,13 +20,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .exprs import ExpressionError, parse_fraction, parse_value
-from .revival import CERTIFICATION_TOL, CertificateColumns, RevivalCertificate, power_deviation
-from .solver import seed_search, solve_approximate, solve_rho_edge, solve_seeded
+from .revival import CERTIFICATION_TOL, CertificateColumns, power_deviation
+from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import table_columns
 from .walk import MAX_POWER, CoinParams, WalkerState, build_walk_operator, evolve, line_steps
 
-__all__ = ["certificate_from_json", "certificate_to_json", "main"]
+__all__ = ["main"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,51 +50,10 @@ class CliError(Exception):
         self.code = code
 
 
-def certificate_to_json(cert: RevivalCertificate) -> dict:
-    """Schema: k, N, rho{value, expr}, delta{two_pi_num, two_pi_den, radians},
-    generators[{num, den}], max_deviation, case_tag."""
-    delta = {"two_pi_num": None, "two_pi_den": None, "radians": cert.delta}
-    if cert.delta_two_pi is not None:
-        delta["two_pi_num"] = cert.delta_two_pi.numerator
-        delta["two_pi_den"] = cert.delta_two_pi.denominator
-    n = cert.N
-    return {
-        "k": cert.k,
-        "N": cert.N,
-        "rho": {"value": cert.rho, "expr": cert.rho_display},
-        "delta": delta,
-        "generators": [
-            {"num": j // g, "den": n // g} for j in cert.numerators for g in (math.gcd(j, n),)
-        ],
-        "max_deviation": cert.max_deviation,
-        "case_tag": cert.case_tag,
-    }
-
-
-def certificate_from_json(record: dict) -> RevivalCertificate:
-    """Inverse of certificate_to_json."""
-    delta = record["delta"]
-    delta_two_pi = None
-    if delta.get("two_pi_num") is not None:
-        delta_two_pi = Fraction(delta["two_pi_num"], delta["two_pi_den"])
-    return RevivalCertificate.from_generators(
-        [Fraction(g["num"], g["den"]) for g in record["generators"]],
-        k=record["k"],
-        N=record["N"],
-        rho=record["rho"]["value"],
-        delta=delta["radians"],
-        max_deviation=record["max_deviation"],
-        case_tag=record["case_tag"],
-        delta_two_pi=delta_two_pi,
-        rho_display=record["rho"].get("expr"),
-        exact=bool(record["max_deviation"] < CERTIFICATION_TOL),
-    )
-
-
 def _json_lines(columns: CertificateColumns, rows: int = 4096):
-    """The lines `json.dumps(certificate_to_json(c))` of the rows' certificates c, written from
-    the columns with format strings ("expr" is null: the columns hold no rho_display), yielded
-    `rows` lines at a time so the text held stays bounded."""
+    """One JSON line per row of the columns (the `solve` schema of README; "expr" is always
+    null), written with format strings, yielded `rows` lines at a time so the text held stays
+    bounded.  `certificate_to_json` in tests/oracles.py is the dict writer they must match."""
     dtp = columns.delta_two_pi
     num, den = ("null", "null") if dtp is None else dtp.as_integer_ratio()
     line = (f'{{"k": {columns.k}, "N": %d, "rho": {{"value": %r, "expr": null}}, "delta": '
@@ -286,8 +245,9 @@ def _solve_columns(args) -> CertificateColumns:
             raise CliError(2, f"{case} needs {'--k and ' if k is None else ''}--delta-frac")
         if seed is not None:
             _unread(args, ("max_den",), "solve --seed")
+            _require(0 < seed < 1, f"--seed must lie strictly in (0, 1), got {seed}")
             return CertificateColumns.of(solve_seeded(k, dtp, seed, args.max_n))
-        return seed_search(k, dtp, args.max_den or 24, args.max_n)  # 0 exits 2 in cmd_solve
+        return enumerate_seeded(k, dtp, args.max_den or 24, args.max_n)  # 0 exits 2 in cmd_solve
     if case == "approx":
         _unread(args, ("seed", "max_den", "max_n"), "solve --case approx")
         if args.k is None or args.rho is None or args.epsilon is None:

@@ -6,8 +6,8 @@ reduced fractions in one continued-fraction pass that stops at the first that fa
 their denominators' LCM, and certifies candidate periods by Fourier-block powering: each 2x2
 symbol is raised to the N-th power and one inverse FFT gives U^N's first block column, O(k log k).
 `certify` measures the candidate columns of every seed search, rho edge and approximate run
-on their own k-cycle, a bounded chunk per pass, and returns them as `CertificateColumns`:
-one row per certificate, built into `RevivalCertificate`s only on request.
+on their own k-cycle, a bounded chunk per pass, and returns them as `CertificateColumns`, the
+one certificate set: a row per certificate, built into a `RevivalCertificate` when read.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -135,7 +136,6 @@ class RevivalCertificate:
     max_deviation: float
     case_tag: str = "reconstructed"
     delta_two_pi: Fraction | None = None
-    rho_display: str | None = None
     exact: bool = True
 
     def __post_init__(self):
@@ -146,15 +146,6 @@ class RevivalCertificate:
         j = self.numerators
         if j and not (0 <= j[0] and j[-1] < self.N and all(map(operator.lt, j, j[1:]))):
             raise ValueError(f"numerators must increase strictly within [0, N={self.N})")
-
-    @classmethod
-    def from_generators(cls, generators, **fields) -> RevivalCertificate:
-        """The certificate of these fractions in [0, 1), in any order and with repeats."""
-        n, pairs = fields["N"], [f.as_integer_ratio() for f in generators]
-        period = math.lcm(*(den for _, den in pairs))
-        if n % period != 0:
-            raise ValueError(f"N={n} is not a multiple of the generator period {period}")
-        return cls(numerators=tuple(sorted({a * (n // b) for a, b in pairs})), **fields)
 
     @property
     def generators(self) -> tuple[Fraction, ...]:
@@ -189,7 +180,7 @@ class CertificateColumns:
 
     @classmethod
     def of(cls, cert: RevivalCertificate) -> CertificateColumns:
-        """The one row of a certificate (its rho_display is not a column)."""
+        """The one row of a certificate."""
         numerators = np.array(cert.numerators, dtype=np.int64).reshape(1, -1)
         return cls(cert.k, cert.delta, np.array([cert.N]), np.array([cert.rho]), numerators,
                    np.ones(numerators.shape, dtype=bool), np.array([cert.max_deviation]),
@@ -200,16 +191,17 @@ class CertificateColumns:
         return replace(self, **{name: getattr(self, name)[rows] for name in
                                 ("N", "rho", "numerators", "distinct", "max_deviation")})
 
-    def certificates(self) -> list[RevivalCertificate]:
-        """One `RevivalCertificate` per row; exact where the deviation is below the tolerance."""
+    @cached_property
+    def solutions(self) -> tuple[RevivalCertificate, ...]:
+        """One `RevivalCertificate` per row, built on first read; exact below the tolerance."""
         rows = zip(self.N.tolist(), self.rho.tolist(), self.numerators.tolist(),
                    self.distinct.tolist(), self.max_deviation.tolist())
-        return [
+        return tuple(
             RevivalCertificate(self.k, n, rho, self.delta, tuple(itertools.compress(j, new)),
-                               deviation, self.case_tag, self.delta_two_pi, None,
+                               deviation, self.case_tag, self.delta_two_pi,
                                deviation < CERTIFICATION_TOL)
             for n, rho, j, new, deviation in rows
-        ]
+        )
 
 
 def certify(k: int, delta: float, rho, n, numerators, distinct, *, case_tag: str = "reconstructed",
@@ -248,13 +240,18 @@ def revival_period(
     if not (proved.all() and (np.abs(x - p / q) < PHASE_RECONSTRUCTION_TOL).all()):
         return None
     p, q = p.astype(np.int64), q.astype(np.int64)
-    n = math.lcm(*np.unique(q).tolist())
+    n = math.lcm(*_distinct(q))
     if n > min(max_n, MAX_POWER):
         return None
 
     deviation = power_deviation(k, params, n)
     if not deviation < CERTIFICATION_TOL:
         return None
-    j = np.sort(p % q * (n // q), axis=None)  # the first of each run: np.unique is slower
-    j = j[np.concatenate(([True], j[1:] != j[:-1]))].tolist()
+    j = _distinct(p % q * (n // q))
     return RevivalCertificate(k, n, params.rho, params.delta, tuple(j), deviation)
+
+
+def _distinct(a) -> list[int]:
+    """Distinct entries, ascending: np.unique is slower and imports numpy.ma on first call."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))].tolist()

@@ -18,16 +18,15 @@ denominators.  The search runs on integer numpy columns, one row per seed, class
 candidate (seed p/q at d = u/v is in the class min(t, qv - t)/(qv), t = (2pv - uq) mod qv;
 each fraction a reduced (num, den) pair, each generator a numerator over N), int64 under
 a stated bound and Python ints past it.  `revival.certify` measures the candidate columns
-on the k-cycle alone (for odd k each 2k-cycle block is +-a k-cycle block, so
-U_k^N = I iff U_2k^N = I at even N, and every seeded N is even: s and s + 1/2 are
+on the k-cycle alone, as `CertificateColumns` (for odd k each 2k-cycle block is +-a k-cycle
+block, so U_k^N = I iff U_2k^N = I at even N, and every seeded N is even: s and s + 1/2 are
 generators).  `solve_seeded`, `solve_rho_edge` and `solve_approximate` run the same
-array rules on one row.
+array rules on one row and return its certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,9 +43,7 @@ from .walk import CoinParams
 __all__ = [
     "APPROX_DENOMINATOR_CAP",
     "APPROX_PERIOD_CAP",
-    "SolutionFamily",
     "enumerate_seeded",
-    "seed_search",
     "solve_approximate",
     "solve_rho_edge",
     "solve_seeded",
@@ -63,21 +60,6 @@ APPROX_PERIOD_CAP = 10**6
 TWO_FORM_MATCH_TOL = 1e-10
 
 _SINGLE_FORM_TAGS = {2: "k2_seeded", 3: "k3_family", 4: "k4_family", 6: "k3_family"}
-
-
-@dataclass(frozen=True)
-class SolutionFamily:
-    """Certificates grouped by cycle length, search case, and coin phase."""
-
-    k: int
-    case_tag: str
-    delta_two_pi: Fraction
-    solutions: tuple[RevivalCertificate, ...]
-
-    def __post_init__(self):
-        for cert in self.solutions:
-            if cert.case_tag != self.case_tag or cert.k != self.k:
-                raise ValueError("certificate does not belong to this family")
 
 
 def weight_forms(
@@ -259,7 +241,7 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         n = np.array([n], dtype)
         numerators = _numerators(j, n[:, None], n)
     return certify(k, TWO_PI * (u / v), np.array([float(edge)]), n, *numerators,
-                   case_tag=f"rho{edge}", delta_two_pi=uv).certificates()[0]
+                   case_tag=f"rho{edge}", delta_two_pi=uv).solutions[0]
 
 
 def solve_seeded(
@@ -291,15 +273,22 @@ def solve_seeded(
     if not kept[0]:
         raise ValueError(f"seed {seed} gives N={n[0]}, above max_n={max_n}")
     return certify(k, TWO_PI * float(dtp), rho, n, j, distinct, case_tag=tag,
-                   delta_two_pi=dtp).certificates()[0]
+                   delta_two_pi=dtp).solutions[0]
 
 
-def seed_search(
+def enumerate_seeded(
     k: int, delta_two_pi: Fraction, max_den: int, max_n: int | None = None
 ) -> CertificateColumns:
-    """`enumerate_seeded` as columns.  Every integer of the search lies below
-    8 * max_den**2 * v * k at delta = 2*pi*u/v: the columns are int64 while that bound is at
-    most 2**53, and Python ints (dtype=object, the same code) past it."""
+    """Every revival seeded by fractions with denominator <= max_den, as certified columns
+    canonically sorted by (N, rho), for any (k, delta) with one or two weight forms.
+
+    One form: each companion class with a weight in (0, 1) is a solution.
+    Two forms: a class of each whose weights agree to TWO_FORM_MATCH_TOL.
+    Candidates with N above max_n are dropped.  No rows means no solution exists at this
+    denominator bound.  Every integer of the search lies below 8 * max_den**2 * v * k at
+    delta = 2*pi*u/v: the columns are int64 while that bound is at most 2**53, and Python
+    ints (dtype=object, the same code) past it.
+    """
     dtp = Fraction(delta_two_pi)
     xs, constants, tag = _search_plan(k, dtp)
     seeds = _seeds(max_den, _int_type(8 * max_den**2 * dtp.denominator * k))
@@ -307,26 +296,6 @@ def seed_search(
     columns = certify(k, TWO_PI * float(dtp), rho[kept], n[kept], j, distinct, case_tag=tag,
                       delta_two_pi=dtp)
     return columns.take(np.lexsort((columns.rho, columns.N)))  # stable on the search order
-
-
-def enumerate_seeded(
-    k: int,
-    delta_two_pi: Fraction,
-    max_den: int,
-    max_n: int | None = None,
-) -> SolutionFamily:
-    """Every revival seeded by fractions with denominator <= max_den,
-    canonically sorted by (N, rho), for any (k, delta) with one or two
-    weight forms.
-
-    One form: each companion class with a weight in (0, 1) is a solution.
-    Two forms: a class of each whose weights agree to TWO_FORM_MATCH_TOL.
-    Candidates with N above max_n are dropped.  An empty family means no
-    solution exists at this denominator bound.
-    """
-    columns = seed_search(k, delta_two_pi, max_den, max_n)
-    return SolutionFamily(k=k, case_tag=columns.case_tag, delta_two_pi=columns.delta_two_pi,
-                          solutions=tuple(columns.certificates()))
 
 
 def _band_intervals(
@@ -446,4 +415,4 @@ def solve_approximate(
     if n[0] > APPROX_PERIOD_CAP:
         return None
     return certify(k, delta_value, np.array([float(rho)]), n, *_numerators(nums, dens, n),
-                   case_tag="approximate", delta_two_pi=dtp, exact=False).certificates()[0]
+                   case_tag="approximate", delta_two_pi=dtp, exact=False).solutions[0]

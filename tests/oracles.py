@@ -12,7 +12,8 @@ Fraction generators that integer numerators over N must reproduce, and the
 Fraction-set approximate solver (with its companion and degenerate-block
 fraction sets) that the integer (num, den) pairs must reproduce.
 The row-list `simulate` emitter, with its preallocated line-walk history,
-is the reference that the streamed emitter must match byte for byte.
+is the reference that the streamed emitter must match byte for byte, and
+the certificate dict codec that of the columnar `solve` line writer.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from cyclewalk.solver import (
     APPROX_DENOMINATOR_CAP,
     APPROX_PERIOD_CAP,
     TWO_FORM_MATCH_TOL,
-    SolutionFamily,
     _band_intervals,
     _search_plan,
     weight,
@@ -346,7 +346,7 @@ def solve_approximate_fractions(k: int, rho: float, delta, epsilon: float):
     if n > APPROX_PERIOD_CAP:
         return None
     deviation = power_deviation(k, params, n)
-    return RevivalCertificate.from_generators(
+    return from_generators(
         fractions, k=k, N=n, rho=float(rho), delta=delta_value, max_deviation=deviation,
         case_tag="approximate", delta_two_pi=dtp, exact=bool(deviation < CERTIFICATION_TOL),
     )
@@ -421,12 +421,10 @@ def seeded_candidates(
 
 
 def enumerate_seeded_per_candidate(
-    k: int,
-    delta_two_pi: Fraction,
-    max_den: int,
-    max_n: int | None = None,
-) -> SolutionFamily:
-    """The seed search in Fraction arithmetic, certifying one candidate at a time."""
+    k: int, delta_two_pi: Fraction, max_den: int, max_n: int | None = None
+) -> tuple[str, tuple[RevivalCertificate, ...]]:
+    """The seed search in Fraction arithmetic, certifying one candidate at a time:
+    (case tag, certificates sorted by (N, rho))."""
     dtp = Fraction(delta_two_pi)
     tag, candidates = seeded_candidates(k, dtp, max_den, max_n)
     delta = TWO_PI * float(dtp)
@@ -434,12 +432,61 @@ def enumerate_seeded_per_candidate(
     for rho, n, generators in candidates:
         params = CoinParams.from_delta(rho, delta)
         deviation = power_deviation(k, params, n)
-        certificates.append(RevivalCertificate.from_generators(
+        certificates.append(from_generators(
             generators, k=k, N=n, rho=float(rho), delta=delta, max_deviation=deviation,
             case_tag=tag, delta_two_pi=dtp,
         ))
     certificates.sort(key=lambda c: (c.N, c.rho))
-    return SolutionFamily(k=k, case_tag=tag, delta_two_pi=dtp, solutions=tuple(certificates))
+    return tag, tuple(certificates)
+
+
+def from_generators(generators, **fields) -> RevivalCertificate:
+    """The certificate of these fractions in [0, 1), in any order and with repeats."""
+    n, pairs = fields["N"], [f.as_integer_ratio() for f in generators]
+    period = math.lcm(*(den for _, den in pairs))
+    if n % period != 0:
+        raise ValueError(f"N={n} is not a multiple of the generator period {period}")
+    return RevivalCertificate(numerators=tuple(sorted({a * (n // b) for a, b in pairs})), **fields)
+
+
+def certificate_to_json(cert: RevivalCertificate) -> dict:
+    """Schema: k, N, rho{value, expr}, delta{two_pi_num, two_pi_den, radians},
+    generators[{num, den}], max_deviation, case_tag."""
+    delta = {"two_pi_num": None, "two_pi_den": None, "radians": cert.delta}
+    if cert.delta_two_pi is not None:
+        delta["two_pi_num"] = cert.delta_two_pi.numerator
+        delta["two_pi_den"] = cert.delta_two_pi.denominator
+    n = cert.N
+    return {
+        "k": cert.k,
+        "N": cert.N,
+        "rho": {"value": cert.rho, "expr": None},
+        "delta": delta,
+        "generators": [
+            {"num": j // g, "den": n // g} for j in cert.numerators for g in (math.gcd(j, n),)
+        ],
+        "max_deviation": cert.max_deviation,
+        "case_tag": cert.case_tag,
+    }
+
+
+def certificate_from_json(record: dict) -> RevivalCertificate:
+    """Inverse of certificate_to_json."""
+    delta = record["delta"]
+    delta_two_pi = None
+    if delta.get("two_pi_num") is not None:
+        delta_two_pi = Fraction(delta["two_pi_num"], delta["two_pi_den"])
+    return from_generators(
+        [Fraction(g["num"], g["den"]) for g in record["generators"]],
+        k=record["k"],
+        N=record["N"],
+        rho=record["rho"]["value"],
+        delta=delta["radians"],
+        max_deviation=record["max_deviation"],
+        case_tag=record["case_tag"],
+        delta_two_pi=delta_two_pi,
+        exact=bool(record["max_deviation"] < CERTIFICATION_TOL),
+    )
 
 
 def reference_line_history(initial: dict, params: CoinParams, steps: int):

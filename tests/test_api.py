@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cyclewalk
+from cyclewalk.revival import RevivalCertificate
 from cyclewalk.walk import WalkOperator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,6 +30,8 @@ MOVED_TO_ORACLES = (
     "EigenPair",  # the per-pair dense eigenvector; `oracles.eigenvector_matrix` builds them
     "companion_fractions",  # Fraction twins of the solver's integer (num, den) rules
     "constant_block_fractions",
+    "certificate_to_json",  # the dict codec, the reference of the `solve` line writer
+    "certificate_from_json",
 )
 
 
@@ -92,6 +95,15 @@ def test_no_module_imports_a_private_name_from_another():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def test_one_certificate_form():
+    # a search returns its certified columns; the rows and the dict codec are not the library's
+    assert importlib.import_module("cyclewalk.cli").__all__ == ["main"]
+    solver = importlib.import_module("cyclewalk.solver")
+    assert {"SolutionFamily", "seed_search"} & set(solver.__all__) == set()
+    assert not hasattr(RevivalCertificate, "from_generators")
+    assert not hasattr(RevivalCertificate, "rho_display")
+
+
 def test_special_keeps_its_self_timed_names():
     # the benchmark tracer self-times both; the eigenbasis holds no dense vectors
     special = importlib.import_module("cyclewalk.special")
@@ -132,3 +144,19 @@ def test_import_path_loads_neither_scipy_nor_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_revival_period_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, about 6 ms of a one-off run
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys, cyclewalk, cyclewalk.cli\n"
+        "assert cyclewalk.revival_period(3, cyclewalk.CoinParams(2 / 3)).N == 8\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -20,14 +20,13 @@ from hypothesis import strategies as st
 from cyclewalk import (
     HADAMARD,
     CoinParams,
-    RevivalCertificate,
     revival_period,
     solve_rho_edge,
 )
 from cyclewalk import revival, spectral
 from cyclewalk.revival import MAX_POWER, _proved_fractions
 from cyclewalk.walk import WalkOperator, block_phases, su2_form
-from oracles import revival_period_per_phase, rho_one_generators
+from oracles import from_generators, revival_period_per_phase, rho_one_generators
 
 TWO_PI = 2.0 * math.pi
 
@@ -242,7 +241,7 @@ def test_certificate_orders_and_dedupes_equal_floats():
     b = a + Fraction(1, 10**20)  # float(b) == float(a)
     c = Fraction(1, 2)
     assert float(a) == float(b) and a != b
-    cert = RevivalCertificate.from_generators(
+    cert = from_generators(
         k=2, N=6 * 10**20, rho=0.0, delta=0.0,
         generators=(c, b, a, b, c, a, Fraction(0)), max_deviation=0.0, exact=False,
     )

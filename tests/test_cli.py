@@ -18,10 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclewalk.cli import certificate_from_json, certificate_to_json, main
+from cyclewalk.cli import main
 from cyclewalk.revival import RevivalCertificate, power_deviations
 from cyclewalk.tables import TableCheck, verify_table
-from oracles import reference_simulate
+from oracles import certificate_from_json, certificate_to_json, reference_simulate
 from test_tables import GOLDEN_RHOS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -619,6 +619,11 @@ class TestInputContract:
              "--tol", "0"],
             ["solve", "--case", "k3", "--delta-frac", "abc"],
             ["solve", "--case", "k3", "--seed", "1/0", "--delta-frac", "0/1"],
+            *(
+                # the = form lets argparse read -1/3 as a value, so the range check sees it
+                ["solve", "--case", "k3", f"--seed={seed}", "--delta-frac", "0/1"]
+                for seed in ("0/1", "3/2", "-1/3")
+            ),
             ["solve", "--k", "7", "--case", "approx", "--rho", "abc", "--delta-frac", "0/1",
              "--epsilon", "0.01"],
             *(

@@ -28,10 +28,12 @@ from cyclewalk import (
     solve_seeded,
     solver,
 )
-from cyclewalk.cli import _json_lines, certificate_from_json, certificate_to_json, main
+from cyclewalk.cli import _json_lines, main
 from cyclewalk.revival import CertificateColumns
-from cyclewalk.solver import seed_search
 from oracles import (
+    certificate_from_json,
+    certificate_to_json,
+    from_generators,
     normalized_generators,
     revival_period_per_phase,
     rho_one_generators,
@@ -115,7 +117,7 @@ def test_approximate_certificates(k, rho, delta):
 def test_from_generators_normalises_as_before(fractions, multiple):
     fractions = [f % 1 for f in fractions]
     n = math.lcm(*(f.denominator for f in fractions)) * multiple
-    cert = RevivalCertificate.from_generators(
+    cert = from_generators(
         fractions, k=2, N=n, rho=0.5, delta=0.0, max_deviation=1.0, exact=False
     )
     assert cert.generators == normalized_generators(fractions, n)
@@ -134,7 +136,7 @@ def test_rejects_malformed_numerators(numerators):
 @pytest.mark.parametrize("generator", [Fraction(-1, 8), Fraction(9, 8), Fraction(1)], ids=str)
 def test_rejects_generators_outside_one_turn(generator):
     with pytest.raises(ValueError, match="numerators must increase strictly"):
-        RevivalCertificate.from_generators(
+        from_generators(
             [generator], k=2, N=8, rho=0.5, delta=0.0, max_deviation=0.0
         )
 
@@ -208,8 +210,8 @@ def test_line_writer_matches_json_dumps():
     # (rho edges, approximate, from --delta-frac and from --delta-rad) and a seeded run
     records = 0
     for k, dtp in PAPER_SEARCHES:
-        columns = seed_search(k, dtp, 96)
-        expected = [json.dumps(certificate_to_json(c)) + "\n" for c in columns.certificates()]
+        columns = enumerate_seeded(k, dtp, 96)
+        expected = [json.dumps(certificate_to_json(c)) + "\n" for c in columns.solutions]
         assert "".join(_json_lines(columns, rows=100)) == "".join(expected), (k, dtp)
         records += len(expected)
     assert records > 3000

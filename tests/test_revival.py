@@ -9,7 +9,6 @@ import pytest
 
 from cyclewalk import (
     CoinParams,
-    RevivalCertificate,
     build_walk_operator,
     enumerate_seeded,
     power_deviation,
@@ -23,6 +22,7 @@ from cyclewalk.revival import PHASE_RECONSTRUCTION_TOL, _proved_fractions
 from oracles import (
     constant_block_fractions,
     eigenvalues_closed_form,
+    from_generators,
     reconstruct_fraction,
     walk_matrix,
 )
@@ -280,13 +280,13 @@ class TestDoublingProperty:
 class TestRevivalCertificate:
     def test_rejects_unverified_exact(self):
         with pytest.raises(ValueError):
-            RevivalCertificate.from_generators(
+            from_generators(
                 k=3, N=8, rho=0.5, delta=0.0, generators=(), max_deviation=1e-3
             )
 
     def test_rejects_inconsistent_period(self):
         with pytest.raises(ValueError):
-            RevivalCertificate.from_generators(
+            from_generators(
                 k=3,
                 N=7,
                 rho=2.0 / 3.0,
@@ -296,7 +296,7 @@ class TestRevivalCertificate:
             )
 
     def test_approximate_mode_permits_large_deviation(self):
-        cert = RevivalCertificate.from_generators(
+        cert = from_generators(
             k=7,
             N=2700,
             rho=0.5,

@@ -19,11 +19,12 @@ from cyclewalk import (
     weight_forms,
 )
 from cyclewalk import revival, solver, walk
-from cyclewalk.cli import certificate_to_json
+from cyclewalk.cli import main
 from cyclewalk.solver import _companion_pairs, _degenerate_pairs
 from cyclewalk.spectral import principal_phase
 from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
 from oracles import (
+    certificate_to_json,
     companion_fractions,
     constant_block_fractions,
     enumerate_seeded_per_candidate,
@@ -361,12 +362,12 @@ PAPER_SEARCHES = [
 def test_integer_scan_matches_the_fraction_search(k, dtp, max_den):
     max_n = 2 * max_den if k == 4 else None
     new = enumerate_seeded(k, dtp, max_den, max_n)
-    old = enumerate_seeded_per_candidate(k, dtp, max_den, max_n)
-    assert new.case_tag == old.case_tag
+    old_tag, old = enumerate_seeded_per_candidate(k, dtp, max_den, max_n)
+    assert new.case_tag == old_tag
     assert [(c.N, c.generators, c.case_tag) for c in new.solutions] == [
-        (c.N, c.generators, c.case_tag) for c in old.solutions
+        (c.N, c.generators, c.case_tag) for c in old
     ]
-    for a, b in zip(new.solutions, old.solutions):
+    for a, b in zip(new.solutions, old):
         assert a.rho == b.rho
         assert abs(a.max_deviation - b.max_deviation) < 1e-13 * a.N
 
@@ -390,6 +391,24 @@ def test_search_certifies_in_one_pass_per_cycle(monkeypatch):
     assert built == []
     # each certificate is measured once, on its own cycle
     assert passes == [(3, len(family.solutions))]
+
+
+def test_search_rows_are_built_when_read(monkeypatch, capsys):
+    built = []
+    post_init = revival.RevivalCertificate.__post_init__
+
+    def counted_post_init(cert):
+        built.append(cert.N)
+        post_init(cert)
+
+    monkeypatch.setattr(revival.RevivalCertificate, "__post_init__", counted_post_init)
+    family = enumerate_seeded(3, Fraction(0), 48)
+    assert built == []
+    solutions = family.solutions
+    assert len(built) == len(solutions) > 0
+    assert family.solutions is solutions
+    assert main(["solve", "--case", "k3", "--delta-frac", "0/1"]) == 0
+    assert capsys.readouterr().out and len(built) == len(solutions)
 
 
 def test_every_seeded_and_edge_period_is_even(monkeypatch):
