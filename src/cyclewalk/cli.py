@@ -237,7 +237,7 @@ def _solve_columns(args) -> CertificateColumns:
         edge = parse_value(args.rho)
         if edge not in (0.0, 1.0):
             raise CliError(2, "rho-edge requires --rho 0 or --rho 1")
-        return CertificateColumns.of(solve_rho_edge(args.k, dtp, int(edge)))
+        return solve_rho_edge(args.k, dtp, int(edge))
     if case in _CASE_DEFAULT_K:
         _unread(args, ("rho", "delta_rad", "epsilon"), f"solve --case {case}")
         k = args.k if args.k is not None else _CASE_DEFAULT_K[case]
@@ -246,7 +246,7 @@ def _solve_columns(args) -> CertificateColumns:
         if seed is not None:
             _unread(args, ("max_den",), "solve --seed")
             _require(0 < seed < 1, f"--seed must lie strictly in (0, 1), got {seed}")
-            return CertificateColumns.of(solve_seeded(k, dtp, seed, args.max_n))
+            return solve_seeded(k, dtp, seed, args.max_n)
         return enumerate_seeded(k, dtp, args.max_den or 24, args.max_n)  # 0 exits 2 in cmd_solve
     if case == "approx":
         _unread(args, ("seed", "max_den", "max_n"), "solve --case approx")
@@ -258,12 +258,10 @@ def _solve_columns(args) -> CertificateColumns:
         _require(math.isfinite(delta), f"--delta-rad must be finite, got {delta}")
         rho = parse_value(args.rho)
         _require(0 < rho < 1, f"--rho must lie strictly in (0, 1), got {rho}")
-        cert = solve_approximate(args.k, rho, delta, args.epsilon)
-        if cert is None:
-            raise CliError(
-                1, "no fraction set within epsilon at the denominator/period caps"
-            )
-        return CertificateColumns.of(cert)
+        columns = solve_approximate(args.k, rho, delta, args.epsilon)
+        if columns is None:
+            raise CliError(1, "no fraction set within epsilon at the denominator/period caps")
+        return columns
     raise CliError(2, f"unknown case {case!r}")
 
 

@@ -6,8 +6,9 @@ reduced fractions in one continued-fraction pass that stops at the first that fa
 their denominators' LCM, and certifies candidate periods by Fourier-block powering: each 2x2
 symbol is raised to the N-th power and one inverse FFT gives U^N's first block column, O(k log k).
 `certify` measures the candidate columns of every seed search, rho edge and approximate run
-on their own k-cycle, a bounded chunk per pass, and returns them as `CertificateColumns`, the
-one certificate set: a row per certificate, built into a `RevivalCertificate` when read.
+on their own k-cycle, a bounded chunk per pass, as `CertificateColumns`, the one certificate
+set every solver returns; a row is built into a `RevivalCertificate` when read, the form in
+which `revival_period` returns its one certificate.
 """
 
 from __future__ import annotations
@@ -177,14 +178,6 @@ class CertificateColumns:
     max_deviation: np.ndarray
     case_tag: str
     delta_two_pi: Fraction | None
-
-    @classmethod
-    def of(cls, cert: RevivalCertificate) -> CertificateColumns:
-        """The one row of a certificate."""
-        numerators = np.array(cert.numerators, dtype=np.int64).reshape(1, -1)
-        return cls(cert.k, cert.delta, np.array([cert.N]), np.array([cert.rho]), numerators,
-                   np.ones(numerators.shape, dtype=bool), np.array([cert.max_deviation]),
-                   cert.case_tag, cert.delta_two_pi)
 
     def take(self, rows) -> CertificateColumns:
         """These rows, in this order."""

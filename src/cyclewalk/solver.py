@@ -20,8 +20,8 @@ each fraction a reduced (num, den) pair, each generator a numerator over N), int
 a stated bound and Python ints past it.  `revival.certify` measures the candidate columns
 on the k-cycle alone, as `CertificateColumns` (for odd k each 2k-cycle block is +-a k-cycle
 block, so U_k^N = I iff U_2k^N = I at even N, and every seeded N is even: s and s + 1/2 are
-generators).  `solve_seeded`, `solve_rho_edge` and `solve_approximate` run the same
-array rules on one row and return its certificate.
+generators).  Every solver returns the certified columns: `solve_seeded`, `solve_rho_edge`
+and `solve_approximate` run the same array rules on one row.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .revival import (
-    UNDEFINED_DENOMINATOR_TOL,
-    CertificateColumns,
-    RevivalCertificate,
-    certify,
-)
+from .revival import UNDEFINED_DENOMINATOR_TOL, CertificateColumns, certify
 from .spectral import full_spectrum
 from .walk import CoinParams
 
@@ -215,18 +210,18 @@ def _candidates(k: int, dtp: Fraction, xs, constants, p, q, max_n: int | None):
     return rho, n, kept, *_numerators(nums[kept], dens[kept], n[kept])
 
 
-def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
-    """Revivals at the coin-weight edges: rho=0 (N=2v) and rho=1 (N=lcm(2, k, v*k)).
+def solve_rho_edge(k: int, uv: Fraction, edge: int) -> CertificateColumns:
+    """The revival at a coin-weight edge, one certified row: rho=0 (N=2v), rho=1 (N=lcm(2, k, v*k)).
 
-    `uv` is delta/(2*pi) as a reduced fraction u/v in (0, 1).
+    `uv` is delta/(2*pi) as a reduced fraction u/v in [0, 1).
     """
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     uv = uv if isinstance(uv, Fraction) else Fraction(uv)
     u, v = uv.as_integer_ratio()
     dtype = _int_type(8 * k * v)
-    if not 0 < u < v:
-        raise ValueError(f"delta fraction must lie strictly in (0, 1), got {uv}")
+    if not 0 <= u < v:
+        raise ValueError(f"delta fraction must lie in [0, 1), got {uv}")
     if edge not in (0, 1):
         raise ValueError(f"edge must be 0 or 1, got {edge}")
     if edge == 0:
@@ -241,13 +236,13 @@ def solve_rho_edge(k: int, uv: Fraction, edge: int) -> RevivalCertificate:
         n = np.array([n], dtype)
         numerators = _numerators(j, n[:, None], n)
     return certify(k, TWO_PI * (u / v), np.array([float(edge)]), n, *numerators,
-                   case_tag=f"rho{edge}", delta_two_pi=uv).solutions[0]
+                   case_tag=f"rho{edge}", delta_two_pi=uv)
 
 
 def solve_seeded(
     k: int, delta_two_pi: Fraction, seed: Fraction, max_n: int | None = None
-) -> RevivalCertificate:
-    """The revival seeded by one fraction, for a (k, delta) with one weight form.
+) -> CertificateColumns:
+    """The revival seeded by one fraction, one certified row, for a (k, delta) of one form.
 
     The seed's companion class and the degenerate blocks' constant
     fractions are the generators; N is the LCM of their denominators.
@@ -272,8 +267,7 @@ def solve_seeded(
         )
     if not kept[0]:
         raise ValueError(f"seed {seed} gives N={n[0]}, above max_n={max_n}")
-    return certify(k, TWO_PI * float(dtp), rho, n, j, distinct, case_tag=tag,
-                   delta_two_pi=dtp).solutions[0]
+    return certify(k, TWO_PI * float(dtp), rho, n, j, distinct, case_tag=tag, delta_two_pi=dtp)
 
 
 def enumerate_seeded(
@@ -342,8 +336,8 @@ def solve_approximate(
     rho: float,
     delta: float | Fraction,
     epsilon: float,
-) -> RevivalCertificate | None:
-    """Best-effort near-revival for a fixed coin.
+) -> CertificateColumns | None:
+    """Best-effort near-revival for a fixed coin, one row.
 
     For each weight form the smallest-denominator fraction whose weight sits
     within epsilon of rho is selected, the generator set is completed
@@ -415,4 +409,4 @@ def solve_approximate(
     if n[0] > APPROX_PERIOD_CAP:
         return None
     return certify(k, delta_value, np.array([float(rho)]), n, *_numerators(nums, dens, n),
-                   case_tag="approximate", delta_two_pi=dtp, exact=False).solutions[0]
+                   case_tag="approximate", delta_two_pi=dtp, exact=False)

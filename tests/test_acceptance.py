@@ -119,7 +119,7 @@ def test_criterion_04_two_form_table():
 
 
 def test_criterion_05_seeded_k2_worked_example():
-    cert = solve_seeded(2, Fraction(2, 3), Fraction(2, 5))
+    (cert,) = solve_seeded(2, Fraction(2, 3), Fraction(2, 5)).solutions
     expected_rho = 2.0 / 3.0 * (1.0 - math.sin(7.0 * math.pi / 30.0))
     ok = (
         cert.N == 30
@@ -229,10 +229,10 @@ def test_criterion_10_doubling_property():
         certificates.extend(enumerate_seeded(3, dtp, max_den=16, max_n=30).solutions)
     for dtp in (Fraction(t, 5) for t in range(5)):
         certificates.extend(enumerate_seeded(5, dtp, max_den=60).solutions)
-    certificates.append(solve_rho_edge(3, Fraction(1, 3), 0))
-    certificates.append(solve_rho_edge(3, Fraction(1, 3), 1))
-    certificates.append(solve_rho_edge(5, Fraction(2, 5), 0))
-    certificates.append(solve_rho_edge(5, Fraction(2, 5), 1))
+    certificates.append(solve_rho_edge(3, Fraction(1, 3), 0).solutions[0])
+    certificates.append(solve_rho_edge(3, Fraction(1, 3), 1).solutions[0])
+    certificates.append(solve_rho_edge(5, Fraction(2, 5), 0).solutions[0])
+    certificates.append(solve_rho_edge(5, Fraction(2, 5), 1).solutions[0])
     worst = 0.0
     for cert in certificates:
         assert cert.k in (3, 5)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cyclewalk
-from cyclewalk.revival import RevivalCertificate
+from cyclewalk.revival import CertificateColumns, RevivalCertificate
 from cyclewalk.walk import WalkOperator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -102,6 +102,9 @@ def test_one_certificate_form():
     assert {"SolutionFamily", "seed_search"} & set(solver.__all__) == set()
     assert not hasattr(RevivalCertificate, "from_generators")
     assert not hasattr(RevivalCertificate, "rho_display")
+    # every solver returns its certified columns: no row is turned back into columns
+    assert not hasattr(CertificateColumns, "of")
+    assert not hasattr(solver, "RevivalCertificate")
 
 
 def test_special_keeps_its_self_timed_names():

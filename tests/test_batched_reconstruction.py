@@ -229,7 +229,7 @@ def test_rho_one_generators_match_fraction_arithmetic():
     turns = [Fraction(u, v) for v in range(2, 13) for u in range(1, v) if math.gcd(u, v) == 1]
     for k in range(2, 65):
         for uv in turns:
-            cert = solve_rho_edge(k, uv, 1)
+            (cert,) = solve_rho_edge(k, uv, 1).solutions
             assert cert.N == math.lcm(2, k, uv.denominator * k)
             reference, got = rho_one_generators(k, uv), cert.generators
             assert len(got) == len(reference) and set(got) == reference, (k, uv)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from cyclewalk.cli import main
 from cyclewalk.revival import RevivalCertificate, power_deviations
+from cyclewalk.solver import solve_seeded
 from cyclewalk.tables import TableCheck, verify_table
 from oracles import certificate_from_json, certificate_to_json, reference_simulate
 from test_tables import GOLDEN_RHOS
@@ -228,8 +230,19 @@ def test_search_writes_its_lines_without_certificates_or_json_dumps(capsys, monk
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out.count("\n") == 697
     assert calls == []
-    # the spies see a run that builds its certificate
-    run_cli(capsys, "solve", "--case", "k3", "--delta-frac", "0/1", "--seed", "3/8")
+    # every one-row case writes its line from the solver's columns too
+    for argv in (
+        ["--k", "512", "--case", "rho-edge", "--rho", "0", "--delta-frac", "3/7"],
+        ["--k", "512", "--case", "rho-edge", "--rho", "1", "--delta-frac", "3/7"],
+        ["--case", "k3", "--delta-frac", "0/1", "--seed", "3/8"],
+        ["--k", "6", "--case", "approx", "--rho", "0.37", "--delta-frac", "1/3",
+         "--epsilon", "0.02"],
+    ):
+        code, out, _ = run_cli(capsys, "solve", *argv)
+        assert code == 0 and out.count("\n") == 1, argv
+        assert calls == [], argv
+    # the spies see a read that builds its certificate
+    assert len(solve_seeded(3, Fraction(0), Fraction(3, 8)).solutions) == 1
     assert calls == ["RevivalCertificate"]
 
 

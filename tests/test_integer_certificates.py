@@ -29,7 +29,6 @@ from cyclewalk import (
     solver,
 )
 from cyclewalk.cli import _json_lines, main
-from cyclewalk.revival import CertificateColumns
 from oracles import (
     certificate_from_json,
     certificate_to_json,
@@ -75,7 +74,7 @@ def test_search_certificates(search, max_den):
 @example(2, Fraction(1, 3), 1)  # N=6 < 2kv: each numerator comes from a reduced fraction
 def test_edge_certificates(k, uv, edge):
     raw = {uv / 2, uv / 2 + Fraction(1, 2)} if edge == 0 else rho_one_generators(k, uv)
-    check_certificate(solve_rho_edge(k, uv, edge), raw)
+    check_certificate(solve_rho_edge(k, uv, edge).solutions[0], raw)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -104,8 +103,9 @@ def test_period_certificates(k, uv, rho):
 )
 @example(6, 0.37, Fraction(1, 3))
 def test_approximate_certificates(k, rho, delta):
-    cert = solve_approximate(k, rho, delta, 0.02)
-    if cert is not None:
+    columns = solve_approximate(k, rho, delta, 0.02)
+    if columns is not None:
+        (cert,) = columns.solutions
         check_certificate(cert, cert.generators)
 
 
@@ -207,7 +207,8 @@ def test_revival_period_keeps_a_true_revival_at_large_max_n():
 
 def test_line_writer_matches_json_dumps():
     # every record of the benchmark's searches, and the one-row results behind the goldens
-    # (rho edges, approximate, from --delta-frac and from --delta-rad) and a seeded run
+    # (rho edges, approximate, from --delta-frac and from --delta-rad), a seeded run and the
+    # two edges at delta = 0; the approximate columns hold Python ints (dtype=object)
     records = 0
     for k, dtp in PAPER_SEARCHES:
         columns = enumerate_seeded(k, dtp, 96)
@@ -215,16 +216,21 @@ def test_line_writer_matches_json_dumps():
         assert "".join(_json_lines(columns, rows=100)) == "".join(expected), (k, dtp)
         records += len(expected)
     assert records > 3000
-    for cert in (
+    dtypes = set()
+    for columns in (
         solve_rho_edge(16, Fraction(3, 7), 0),
         solve_rho_edge(16, Fraction(3, 7), 1),
         solve_rho_edge(512, Fraction(3, 7), 1),
         solve_approximate(6, 0.37, Fraction(1, 3), 0.02),
         solve_approximate(2, 0.5, 1.0, 0.05),
         solve_seeded(2, Fraction(2, 3), Fraction(2, 5)),
+        solve_rho_edge(7, Fraction(0), 0),
+        solve_rho_edge(7, Fraction(0), 1),
     ):
-        line = json.dumps(certificate_to_json(cert)) + "\n"
-        assert list(_json_lines(CertificateColumns.of(cert))) == [line]
+        line = json.dumps(certificate_to_json(columns.solutions[0])) + "\n"
+        assert list(_json_lines(columns)) == [line]
+        dtypes.add(columns.numerators.dtype.name)
+    assert dtypes == {"int64", "object"}
 
 
 def test_search_past_the_int64_bound_runs_on_python_ints(capsys):

@@ -259,13 +259,13 @@ class TestDoublingProperty:
 
     def test_odd_cycles_share_solutions_with_doubles(self):
         certificates = [
-            solve_seeded(3, Fraction(0), Fraction(1, 8)),
-            solve_seeded(3, Fraction(1, 3), Fraction(7, 24)),
+            solve_seeded(3, Fraction(0), Fraction(1, 8)).solutions[0],
+            solve_seeded(3, Fraction(1, 3), Fraction(7, 24)).solutions[0],
             enumerate_seeded(5, Fraction(0), max_den=20).solutions[0],
-            solve_rho_edge(7, Fraction(1, 3), 0),
-            solve_rho_edge(7, Fraction(1, 3), 1),
-            solve_rho_edge(9, Fraction(2, 5), 0),
-            solve_rho_edge(9, Fraction(2, 5), 1),
+            solve_rho_edge(7, Fraction(1, 3), 0).solutions[0],
+            solve_rho_edge(7, Fraction(1, 3), 1).solutions[0],
+            solve_rho_edge(9, Fraction(2, 5), 0).solutions[0],
+            solve_rho_edge(9, Fraction(2, 5), 1).solutions[0],
             # and halving: the k=10 two-form solutions revive on k=5
             *(c for t in range(5) for c in enumerate_seeded(10, Fraction(t, 5), 96).solutions),
         ]

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclewalk import (
+    CoinParams,
     enumerate_seeded,
     full_spectrum,
     power_deviation,
+    revival_period,
     solve_approximate,
     solve_rho_edge,
     solve_seeded,
@@ -22,7 +24,7 @@ from cyclewalk import revival, solver, walk
 from cyclewalk.cli import main
 from cyclewalk.solver import _companion_pairs, _degenerate_pairs
 from cyclewalk.spectral import principal_phase
-from cyclewalk.tables import TABLE3_ROWS, TABLE5_ROWS
+from cyclewalk.tables import TABLE2_ROWS, TABLE3_ROWS, TABLE5_ROWS
 from oracles import (
     certificate_to_json,
     companion_fractions,
@@ -126,26 +128,43 @@ class TestWeightForms:
 
 class TestRhoEdge:
     def test_rho0_k5(self):
-        cert = solve_rho_edge(5, Fraction(1, 3), 0)
+        (cert,) = solve_rho_edge(5, Fraction(1, 3), 0).solutions
         assert cert.N == 6 and cert.case_tag == "rho0"
 
     def test_rho1_k3(self):
-        cert = solve_rho_edge(3, Fraction(1, 2), 1)
+        (cert,) = solve_rho_edge(3, Fraction(1, 2), 1).solutions
         assert cert.N == 6 and cert.case_tag == "rho1"
 
     def test_rho0_k2_direct_powering(self):
-        cert = solve_rho_edge(2, Fraction(1, 2), 0)
+        (cert,) = solve_rho_edge(2, Fraction(1, 2), 0).solutions
         assert cert.N == 4
         assert power_deviation(2, cert.params, 4) < 1e-12
 
     @pytest.mark.xfail(
         strict=True,
+        raises=ValueError,
         reason="ROADMAP item 1: the deviation grows like N*eps, so this true revival at "
         "N = 3e11 misses the fixed 1e-9 tolerance (deviation 8.5e-05)",
     )
     def test_true_rho1_revival_at_large_n_certifies(self):
-        cert = solve_rho_edge(3, Fraction(1, 10**11), 1)
+        (cert,) = solve_rho_edge(3, Fraction(1, 10**11), 1).solutions
         assert cert.N == 3 * 10**11
+
+    def test_delta_zero_edges(self):
+        # the edge formulas at u/v = 0/1: rho=0 gives N=2 with generators {0, 1/2}, rho=1
+        # gives N=lcm(2, k); the true period divides each, and Table 2 lists N=2 for k=2
+        published = {row.rho: row.n for row in TABLE2_ROWS if row.delta_two_pi == (Fraction(0),)}
+        for k in range(2, 33):
+            for edge in (0, 1):
+                (cert,) = solve_rho_edge(k, Fraction(0), edge).solutions
+                assert cert.N == (2 if edge == 0 else math.lcm(2, k)), (k, edge)
+                assert cert.case_tag == f"rho{edge}" and cert.max_deviation < 1e-9
+                if edge == 0:
+                    assert cert.generators == (Fraction(0), Fraction(1, 2))
+                if k == 2:
+                    assert cert.N == published[float(edge)] == 2
+                period = revival_period(k, CoinParams(float(edge)))
+                assert period is not None and cert.N % period.N == 0, (k, edge)
 
     def test_rejects_bad_edge(self):
         with pytest.raises(ValueError):
@@ -185,7 +204,7 @@ class TestK2:
                     assert accepts(2, uv, seed) == inside, (seed, uv)
 
     def test_worked_example(self):
-        cert = solve_seeded(2, Fraction(2, 3), Fraction(2, 5))
+        (cert,) = solve_seeded(2, Fraction(2, 3), Fraction(2, 5)).solutions
         assert cert.N == 30 and cert.case_tag == "k2_seeded"
         assert cert.rho == pytest.approx(
             2.0 / 3.0 * (1.0 - math.sin(7.0 * math.pi / 30.0)), abs=1e-14
@@ -199,7 +218,7 @@ class TestK2:
         assert cert.max_deviation < 1e-9
 
     def test_generators_match_spectrum(self):
-        cert = solve_seeded(2, Fraction(2, 3), Fraction(2, 5))
+        (cert,) = solve_seeded(2, Fraction(2, 3), Fraction(2, 5)).solutions
         phases = sorted(principal_phase(full_spectrum(2, cert.params)) / (2.0 * math.pi))
         expected = sorted(float(f) for f in cert.generators)
         assert np.max(np.abs(np.array(phases) - expected)) < 1e-12
@@ -243,7 +262,7 @@ class TestK2:
                 assert not accepts(2, uv, seed)
             else:
                 assert 0.0 < rho < 1.0
-                assert solve_seeded(2, uv, seed).rho == pytest.approx(rho, abs=1e-12)
+                assert solve_seeded(2, uv, seed).solutions[0].rho == pytest.approx(rho, abs=1e-12)
             count += 1
 
     def test_window_boundary_gives_edge_weight(self):
@@ -259,20 +278,20 @@ class TestK2:
 
 class TestK3:
     def test_table_entry_n8(self):
-        cert = solve_seeded(3, Fraction(0), Fraction(1, 8))
+        (cert,) = solve_seeded(3, Fraction(0), Fraction(1, 8)).solutions
         assert cert.N == 8 and cert.rho == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_table_entry_n10(self):
-        cert = solve_seeded(3, Fraction(0), Fraction(1, 10))
+        (cert,) = solve_seeded(3, Fraction(0), Fraction(1, 10)).solutions
         assert cert.N == 10
         assert cert.rho == pytest.approx((5.0 - SQRT5) / 6.0, abs=1e-14)
 
     def test_nonzero_delta_family(self):
-        cert = solve_seeded(3, Fraction(1, 3), Fraction(7, 24))
+        (cert,) = solve_seeded(3, Fraction(1, 3), Fraction(7, 24)).solutions
         assert cert.N == 24 and cert.rho == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_verifies_for_k6_too(self):
-        cert = solve_seeded(3, Fraction(0), Fraction(1, 8))
+        (cert,) = solve_seeded(3, Fraction(0), Fraction(1, 8)).solutions
         assert cert.case_tag == "k3_family"
         assert power_deviation(6, cert.params, cert.N) < 1e-9
 
@@ -293,20 +312,20 @@ class TestK3:
 
 class TestK4:
     def test_table_entry_n6(self):
-        cert = solve_seeded(4, Fraction(0), Fraction(1, 6))
+        (cert,) = solve_seeded(4, Fraction(0), Fraction(1, 6)).solutions
         assert cert.N == 6 and cert.rho == pytest.approx(0.75, abs=1e-14)
 
     def test_table_entry_n8(self):
-        cert = solve_seeded(4, Fraction(0), Fraction(1, 8))
+        (cert,) = solve_seeded(4, Fraction(0), Fraction(1, 8)).solutions
         assert cert.N == 8 and cert.rho == pytest.approx(0.5, abs=1e-14)
 
     def test_quarter_turn_delta(self):
-        cert = solve_seeded(4, Fraction(1, 4), Fraction(1, 12))
+        (cert,) = solve_seeded(4, Fraction(1, 4), Fraction(1, 12)).solutions
         assert cert.N == 12
         assert cert.rho == pytest.approx((2.0 - math.sqrt(3.0)) / 2.0, abs=1e-14)
 
     def test_delta_pi_uses_shifted_numerator(self):
-        cert = solve_seeded(4, Fraction(1, 2), Fraction(1, 8))
+        (cert,) = solve_seeded(4, Fraction(1, 2), Fraction(1, 8)).solutions
         assert cert.N == 8 and cert.rho == pytest.approx(0.5, abs=1e-14)
 
 
@@ -426,7 +445,7 @@ def test_every_seeded_and_edge_period_is_even(monkeypatch):
     for k, dtp in PAPER_SEARCHES:
         enumerate_seeded(k, dtp, max_den=96)
     seeded = len(periods)
-    turns = {Fraction(u, v) for v in range(2, 13) for u in range(1, v)}
+    turns = {Fraction(u, v) for v in range(2, 13) for u in range(1, v)} | {Fraction(0)}
     for k in range(2, 33):
         for uv in turns:
             solve_rho_edge(k, uv, 0)
@@ -531,12 +550,12 @@ class TestTwoForm:
 
 class TestApproximate:
     def test_recovers_exact_solution(self):
-        cert = solve_approximate(3, 2.0 / 3.0, 0.0, 1e-12)
+        (cert,) = solve_approximate(3, 2.0 / 3.0, 0.0, 1e-12).solutions
         assert cert is not None and cert.N == 8
         assert cert.exact and cert.max_deviation < 1e-9
 
     def test_k7_regression(self):
-        cert = solve_approximate(7, 0.5, 0.0, 1e-2)
+        (cert,) = solve_approximate(7, 0.5, 0.0, 1e-2).solutions
         assert cert is not None
         assert cert.N == 2700
         assert cert.max_deviation == pytest.approx(0.4567393294769493, abs=1e-9)
@@ -545,7 +564,7 @@ class TestApproximate:
     def test_k7_monotone_in_epsilon(self):
         periods = []
         for eps in (1e-1, 1e-2):
-            cert = solve_approximate(7, 0.5, 0.0, eps)
+            (cert,) = solve_approximate(7, 0.5, 0.0, eps).solutions
             periods.append(cert.N)
         assert periods == [440, 2700]
         assert periods[0] <= periods[1]
@@ -596,5 +615,6 @@ def test_approximate_matches_the_fraction_reference(k, rho, delta, epsilon):
     old = solve_approximate_fractions(k, rho, delta, epsilon)
     assert (new is None) == (old is None)
     if new is not None:
+        (new,) = new.solutions
         assert certificate_to_json(new) == certificate_to_json(old)
         assert new.exact == old.exact
