@@ -1,5 +1,6 @@
 """Discrete-time quantum walks on cycles: block-circulant spectra, exact
-revival search, and special-state revivals."""
+revival search, special-state revivals, and the published revival tables
+verified as columns."""
 
 from .exprs import ExpressionError, parse_fraction, parse_value
 from .revival import (
@@ -25,7 +26,6 @@ from .walk import (
     WalkerState,
     build_walk_operator,
     evolve,
-    line_walk,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "enumerate_seeded",
     "evolve",
     "full_spectrum",
-    "line_walk",
     "parse_fraction",
     "parse_value",
     "power_deviation",

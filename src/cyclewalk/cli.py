@@ -23,7 +23,7 @@ from .exprs import ExpressionError, parse_fraction, parse_value
 from .revival import CERTIFICATION_TOL, CertificateColumns, power_deviation
 from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
-from .tables import table_columns
+from .tables import verify_table
 from .walk import MAX_POWER, CoinParams, WalkerState, build_walk_operator, evolve, line_steps
 
 __all__ = ["main"]
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
     if args.table is not None:
         _unread(args, ("k", "rho", "delta_frac", "n"), "verify --table")
         # the line json.dumps writes of the report as a dict, from the table's columns
-        rows, index, k, turns, deviation = table_columns(args.table)
+        rows, index, k, turns, deviation = verify_table(args.table)
         heads = [f'"N": {row.n}, "rho": {row.rho!r}, "rho_display": '
                  f'{encode_basestring_ascii(row.rho_display)}, "delta_two_pi": "' for row in rows]
         passed = (deviation < args.tol).tolist()
@@ -247,7 +247,12 @@ def _solve_columns(args) -> CertificateColumns:
             _unread(args, ("max_den",), "solve --seed")
             _require(0 < seed < 1, f"--seed must lie strictly in (0, 1), got {seed}")
             return solve_seeded(k, dtp, seed, args.max_n)
-        return enumerate_seeded(k, dtp, args.max_den or 24, args.max_n)  # 0 exits 2 in cmd_solve
+        den = args.max_den or 24  # 0 exits 2 in cmd_solve
+        try:
+            return enumerate_seeded(k, dtp, den, args.max_n)
+        except MemoryError as exc:
+            raise CliError(1, f"out of memory: the seed scan holds about max_den**2/2 seeds, "
+                              f"{den * den // 2} at --max-den {den}") from exc
     if case == "approx":
         _unread(args, ("seed", "max_den", "max_n"), "solve --case approx")
         if args.k is None or args.rho is None or args.epsilon is None:

@@ -4,7 +4,8 @@ Each row holds its exact weight once, as the paper's expression (surds, pi,
 sin and cos of rational multiples of pi) in `rho_display`; `rho` evaluates it
 with the command-line grammar of `exprs.parse_value` on first use. `verify_table`
 powers every (k, rho, delta) combination a row lists to the row's N, one engine
-pass per cycle length, and reports the max-entry deviation from the identity.
+pass per cycle length, and returns the max-entry deviations from the identity
+as columns, the form `verify --table` writes its line from.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .exprs import parse_value
-from .revival import CERTIFICATION_TOL, power_deviations
+from .revival import power_deviations
 
 __all__ = [
     "TABLE1_ROWS",
@@ -26,10 +28,8 @@ __all__ = [
     "TABLE4_ROWS",
     "TABLE5_ROWS",
     "TABLE6_COLUMNS",
-    "TableCheck",
-    "TableReport",
+    "TableColumns",
     "TableRow",
-    "table_columns",
     "verify_table",
 ]
 
@@ -264,38 +264,21 @@ _TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class TableCheck:
-    """Deviation of one (k, rho, delta, N) combination from a full revival."""
+class TableColumns(NamedTuple):
+    """The checks of a published table in order (row, k, delta), as columns: `row` indexes
+    `rows`, `delta_two_pi` holds Fractions and `deviation` max |U^N - I| of each check."""
 
-    k: int
-    n: int
-    rho: float
-    rho_display: str
-    delta_two_pi: Fraction
-    deviation: float
-    passed: bool
+    rows: tuple[TableRow, ...]
+    row: np.ndarray
+    k: np.ndarray
+    delta_two_pi: tuple[Fraction, ...]
+    deviation: np.ndarray
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table: int
-    tolerance: float
-    checks: tuple[TableCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[TableCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def table_columns(table: int):
-    """The table's rows and its checks in order (row, k, delta) as columns, one engine pass per
-    cycle length: (rows, row index, k, delta/(2*pi), deviation).  Table 3's rows are checked at
-    k=3 and k=6 (equal solution sets), table 5's k=5,10 rows at both cycle lengths as well."""
+def verify_table(table: int) -> TableColumns:
+    """Power every (k, rho, delta) of a published table to its row's N, one engine pass per
+    cycle length.  Table 3's rows are checked at k=3 and k=6 (equal solution sets), table 5's
+    k=5,10 rows at both cycle lengths as well."""
     if table not in _TABLES:
         raise ValueError(f"table must be one of {sorted(_TABLES)}, got {table}")
     rows = _TABLES[table]
@@ -310,12 +293,4 @@ def table_columns(table: int):
     for cycle in dict.fromkeys(k.tolist()):  # np.unique's first call would import numpy.ma
         at = k == cycle
         deviation[at] = power_deviations(cycle, rho[at], delta[at], n[at])
-    return rows, index, k, turns, deviation
-
-
-def verify_table(table: int, tol: float = CERTIFICATION_TOL) -> TableReport:
-    """Power every row of a published table (see `table_columns`) and report per-row deviations."""
-    rows, index, k, turns, deviation = table_columns(table)
-    checks = tuple(TableCheck(k, rows[i].n, rows[i].rho, rows[i].rho_display, dtp, dev, dev < tol)
-                   for i, k, dtp, dev in zip(index.tolist(), k.tolist(), turns, deviation.tolist()))
-    return TableReport(table=table, tolerance=tol, checks=checks)
+    return TableColumns(rows, index, k, turns, deviation)

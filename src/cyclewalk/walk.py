@@ -10,6 +10,9 @@ symbols and powered block by block in closed form: evolving a state by any
 number of steps costs one FFT, k 2x2 products and one inverse FFT.  A
 single step can also be taken in position space in O(k).  The dense
 2k x 2k matrix is a test oracle, in tests/oracles.py.
+
+On the infinite line the walk is `line_steps`: a window of positions and a
+generator of one (window, 2) amplitude table per step.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ import numpy as np
 __all__ = [
     "CoinParams",
     "HADAMARD",
-    "LineWalkResult",
     "WalkOperator",
     "WalkerState",
     "build_coin",
     "build_walk_operator",
     "evolve",
-    "line_walk",
+    "line_steps",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -256,36 +258,12 @@ def evolve(state: WalkerState, op: WalkOperator, steps: int) -> WalkerState:
     return WalkerState(state.k, np.fft.ifft(moved, axis=0).reshape(-1))
 
 
-@dataclass(frozen=True)
-class LineWalkResult:
-    """Amplitude history of a line walk over a fixed window of positions.
-
-    `history[t]` is the (window, 2) amplitude table after t steps; column 0
-    is the "up" (left-moving) coin component, column 1 the "down" one.
-    """
-
-    positions: np.ndarray
-    history: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return self.history.shape[0] - 1
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Final (window, 2) amplitude table."""
-        return self.history[-1]
-
-    def probabilities(self, step: int = -1) -> np.ndarray:
-        """Per-position probabilities after `step` steps (default: final)."""
-        return np.sum(np.abs(self.history[step]) ** 2, axis=1)
-
-
 def line_steps(
     initial: Mapping[int, Sequence[complex]], params: CoinParams, steps: int
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """The window of positions and a generator of its (window, 2) amplitude table
-    after each of 0..steps coin-then-shift applications on the infinite line.
+    after each of 0..steps coin-then-shift applications on the infinite line;
+    column 0 is the "up" (left-moving) coin component, column 1 the "down" one.
 
     `initial` maps positions to (up, down) amplitude pairs and must be
     normalized.  The window [min-steps, max+steps] provably contains all support,
@@ -321,13 +299,3 @@ def _line_tables(amps: np.ndarray, coin_t: np.ndarray, steps: int) -> Iterator[n
         amps[:-1, 0] = coined[1:, 0]  # up moves left
         amps[1:, 1] = coined[:-1, 1]  # down moves right
         yield amps
-
-
-def line_walk(
-    initial: Mapping[int, Sequence[complex]], params: CoinParams, steps: int
-) -> LineWalkResult:
-    """Every table of `line_steps`, filled into one (steps+1, window, 2) history."""
-    positions, tables = line_steps(initial, params, steps)
-    history = np.fromiter(tables, np.dtype((complex, (len(positions), 2))), int(steps) + 1)
-    history.setflags(write=False)
-    return LineWalkResult(positions=positions, history=history)

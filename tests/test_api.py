@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -50,7 +51,6 @@ def test_package_exports_what_the_cli_readme_and_benchmark_use():
         "enumerate_seeded",
         "evolve",
         "full_spectrum",
-        "line_walk",
         "parse_fraction",
         "parse_value",
         "power_deviation",
@@ -107,6 +107,20 @@ def test_one_certificate_form():
     assert not hasattr(solver, "RevivalCertificate")
 
 
+def test_one_table_form_and_one_line_walk():
+    # `verify_table` returns the columns `verify --table` writes; `line_steps` is the line walk
+    gone = {
+        "cyclewalk": ("line_walk",),
+        "cyclewalk.tables": ("TableCheck", "TableReport", "table_columns"),
+        "cyclewalk.walk": ("LineWalkResult", "line_walk"),
+    }
+    for module, names in gone.items():
+        assert [n for n in names if hasattr(importlib.import_module(module), n)] == [], module
+    tables = importlib.import_module("cyclewalk.tables")
+    assert list(inspect.signature(tables.verify_table).parameters) == ["table"]
+    assert "line_steps" in importlib.import_module("cyclewalk.walk").__all__
+
+
 def test_special_keeps_its_self_timed_names():
     # the benchmark tracer self-times both; the eigenbasis holds no dense vectors
     special = importlib.import_module("cyclewalk.special")
@@ -121,7 +135,7 @@ def test_walk_operator_has_no_dense_matrix():
 def test_layer_exports_keep_the_self_timed_functions():
     # the benchmark tracer wraps only names a layer lists in __all__
     timed = {
-        "walk": ("build_walk_operator", "evolve", "line_walk"),
+        "walk": ("build_walk_operator", "evolve"),
         "spectral": ("full_spectrum",),
         "revival": ("power_deviation", "revival_period"),
         "solver": ("enumerate_seeded", "solve_approximate"),

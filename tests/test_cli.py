@@ -19,10 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclewalk import cli, solver, tables
 from cyclewalk.cli import main
 from cyclewalk.revival import RevivalCertificate, power_deviations
 from cyclewalk.solver import solve_seeded
-from cyclewalk.tables import TableCheck, verify_table
 from oracles import certificate_from_json, certificate_to_json, reference_simulate
 from test_tables import GOLDEN_RHOS
 
@@ -246,19 +246,29 @@ def test_search_writes_its_lines_without_certificates_or_json_dumps(capsys, monk
     assert calls == ["RevivalCertificate"]
 
 
-def test_table_report_is_written_without_checks_or_json_dumps(capsys, monkeypatch):
-    calls = []
-    init, dumps = TableCheck.__init__, json.dumps
-    monkeypatch.setattr(TableCheck, "__init__",
-                        lambda self, *a, **kw: calls.append("TableCheck") or init(self, *a, **kw))
+@pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
+def test_table_line_is_written_from_one_verify_table_call(capsys, monkeypatch, table):
+    # `verify --table` reads the library's columns once and formats them without json.dumps
+    assert cli.verify_table is tables.verify_table
+    calls, verify, dumps = [], tables.verify_table, json.dumps
+    monkeypatch.setattr(cli, "verify_table", lambda t: calls.append(t) or verify(t))
     monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append("json.dumps") or dumps(*a, **kw))
-    for table in range(1, 6):
-        code, out, _ = run_cli(capsys, "verify", "--table", str(table))
-        assert code == 0 and out.count("\n") == 1
-    assert calls == []
-    # the spies see a run that builds its checks
-    verify_table(2)
-    assert calls == ["TableCheck"] * 8
+    code, out, _ = run_cli(capsys, "verify", "--table", str(table))
+    assert code == 0 and out.count("\n") == 1
+    assert calls == [table]
+
+
+def test_oversized_seed_scan_exits_1_with_one_line(capsys, monkeypatch):
+    # the scan holds about max_den**2/2 seeds: a failed allocation is a message, not a traceback
+    def refuse(max_den, dtype):
+        raise MemoryError(f"cannot hold the seeds of max_den={max_den}")
+
+    monkeypatch.setattr(solver, "_seeds", refuse)
+    code, out, err = run_cli(capsys, "solve", "--case", "k3", "--delta-frac", "0/1",
+                             "--max-den", "200000")
+    assert (code, out) == (1, "")
+    assert err.startswith("cyclewalk: ") and err.count("\n") == 1
+    assert "--max-den 200000" in err and "max_den**2/2" in err and "20000000000" in err
 
 
 #: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts

@@ -1,4 +1,5 @@
-"""Fixture integrity and full verification of the published tables."""
+"""Fixture integrity and full verification of the published tables, read off the columns
+that `verify_table` returns."""
 
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclewalk import CoinParams, power_deviation, tables, verify_table
+from cyclewalk import CERTIFICATION_TOL, CoinParams, power_deviation, tables, verify_table
 from cyclewalk.tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -23,25 +24,32 @@ TABLES = (TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS, TABLE4_ROWS, TABLE5_ROWS,
 GOLDEN_RHOS = Path(__file__).resolve().parent / "golden" / "table_rhos.json"
 
 
+def checks(table):
+    """(k, row, delta/(2*pi), deviation) of each check of a table, read off its columns."""
+    columns = verify_table(table)
+    rows = [columns.rows[i] for i in columns.row.tolist()]
+    return list(zip(columns.k.tolist(), rows, columns.delta_two_pi, columns.deviation.tolist(),
+                    strict=True))
+
+
 @pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
 def test_table_verifies(table):
-    report = verify_table(table)
-    assert report.all_pass, report.failures
+    deviation = verify_table(table).deviation
+    assert (deviation < CERTIFICATION_TOL).all(), deviation.max()
 
 
 @pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
 def test_batched_rows_match_the_scalar_deviation(table):
     # the checks come in row order, each (k, delta) of a row in turn
     rows = (TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS, TABLE4_ROWS, TABLE5_ROWS)[table - 1]
-    report = verify_table(table)
-    assert [(c.k, c.n, c.rho, c.delta_two_pi) for c in report.checks] == [
-        (k, row.n, row.rho, dtp) for row in rows for k in row.k_values for dtp in row.delta_two_pi
+    found = checks(table)
+    assert [(k, row, dtp) for k, row, dtp, _ in found] == [
+        (k, row, dtp) for row in rows for k in row.k_values for dtp in row.delta_two_pi
     ]
-    for check in report.checks:
-        params = CoinParams.from_delta(check.rho, 2.0 * math.pi * float(check.delta_two_pi))
-        alone = power_deviation(check.k, params, check.n)
-        assert abs(check.deviation - alone) < 1e-13 * max(1, check.n), check
-        assert check.passed == (check.deviation < report.tolerance)
+    for k, row, dtp, deviation in found:
+        params = CoinParams.from_delta(row.rho, 2.0 * math.pi * float(dtp))
+        alone = power_deviation(k, params, row.n)
+        assert abs(deviation - alone) < 1e-13 * max(1, row.n), (k, row, dtp)
 
 
 @pytest.mark.parametrize("table, cycles", [(1, 6), (2, 1), (3, 2), (4, 1), (5, 3)])
@@ -54,13 +62,12 @@ def test_one_engine_pass_per_cycle_length(monkeypatch, table, cycles):
         return engine(k, rho, delta, n)
 
     monkeypatch.setattr(tables, "power_deviations", counted)
-    report = verify_table(table)
-    assert sorted(passes) == sorted({c.k for c in report.checks}) and len(passes) == cycles
+    columns = verify_table(table)
+    assert sorted(passes) == sorted(set(columns.k.tolist())) and len(passes) == cycles
 
 
 def test_table3_checks_both_cycle_lengths():
-    report = verify_table(3)
-    assert {c.k for c in report.checks} == {3, 6}
+    assert set(verify_table(3).k.tolist()) == {3, 6}
 
 
 def test_table5_covers_all_phase_choices():
@@ -75,32 +82,24 @@ def test_table5_covers_all_phase_choices():
 
 def test_spot_rows_present():
     # specific rows called out for direct verification
-    report4 = verify_table(4)
-    row = [
-        c
-        for c in report4.checks
-        if c.n == 24 and abs(c.rho - 0.5) < 1e-12 and c.delta_two_pi == Fraction(1, 4)
-    ]
-    assert row and row[0].passed
-
-    report3 = verify_table(3)
     rows = [
-        c
-        for c in report3.checks
-        if c.n == 30
-        and c.rho_display == "(5-sqrt5)/6"
-        and c.delta_two_pi == Fraction(1, 3)
+        (row, dev) for _, row, dtp, dev in checks(4)
+        if row.n == 24 and abs(row.rho - 0.5) < 1e-12 and dtp == Fraction(1, 4)
     ]
-    assert {c.k for c in rows} == {3, 6} and all(c.passed for c in rows)
+    assert rows and rows[0][1] < CERTIFICATION_TOL
 
-    report5 = verify_table(5)
     rows = [
-        c
-        for c in report5.checks
-        if c.delta_two_pi == Fraction(4, 5) and c.rho_display == "(5+sqrt5)/10"
+        (k, dev) for k, row, dtp, dev in checks(3)
+        if row.n == 30 and row.rho_display == "(5-sqrt5)/6" and dtp == Fraction(1, 3)
     ]
-    assert {c.k for c in rows} == {5, 10}
-    assert all(c.passed and c.n == 60 for c in rows)
+    assert {k for k, _ in rows} == {3, 6} and all(dev < CERTIFICATION_TOL for _, dev in rows)
+
+    rows = [
+        (k, row, dev) for k, row, dtp, dev in checks(5)
+        if dtp == Fraction(4, 5) and row.rho_display == "(5+sqrt5)/10"
+    ]
+    assert {k for k, _, _ in rows} == {5, 10}
+    assert all(dev < CERTIFICATION_TOL and row.n == 60 for _, row, dev in rows)
 
 
 def test_displays_match_sympy_at_50_digits():

@@ -11,10 +11,9 @@ from cyclewalk import (
     WalkerState,
     build_walk_operator,
     evolve,
-    line_walk,
 )
 from cyclewalk.walk import build_coin, line_steps
-from oracles import build_shift_cycle, walk_matrix
+from oracles import build_shift_cycle, reference_line_history, walk_matrix
 
 RNG = np.random.default_rng(20141104)
 
@@ -239,10 +238,21 @@ def reference_line_walk(initial, params, steps):
     return amps
 
 
+def line_history(initial, params, steps):
+    """The window of `line_steps` and its tables stacked into a (steps+1, window, 2) history."""
+    positions, tables = line_steps(initial, params, steps)
+    return positions, np.stack(list(tables))
+
+
+def probabilities(table):
+    """Per-position probabilities of one (window, 2) amplitude table."""
+    return np.sum(np.abs(table) ** 2, axis=1)
+
+
 class TestLineWalk:
     def test_single_hadamard_step(self):
-        result = line_walk({0: (1.0, 0.0)}, HADAMARD, 1)
-        table = {int(p): result.amplitudes[i] for i, p in enumerate(result.positions)}
+        positions, history = line_history({0: (1.0, 0.0)}, HADAMARD, 1)
+        table = {int(p): history[-1][i] for i, p in enumerate(positions)}
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         assert table[-1][0] == pytest.approx(inv_sqrt2)
         assert table[1][1] == pytest.approx(inv_sqrt2)
@@ -251,37 +261,38 @@ class TestLineWalk:
     def test_matches_reference_oracle(self):
         initial = {0: (0.6, 0.8j)}
         steps = 7
-        result = line_walk(initial, CoinParams(0.37, 0.9, 0.2), steps)
+        positions, history = line_history(initial, CoinParams(0.37, 0.9, 0.2), steps)
         reference = reference_line_walk(initial, CoinParams(0.37, 0.9, 0.2), steps)
-        for i, pos in enumerate(result.positions):
+        for i, pos in enumerate(positions):
             expected = reference.get(int(pos), np.zeros(2))
-            assert np.max(np.abs(result.amplitudes[i] - expected)) < 1e-12
+            assert np.max(np.abs(history[-1][i] - expected)) < 1e-12
+        # every table is its own array, so the stacked stream is the preallocated history
+        window, preallocated = reference_line_history(initial, CoinParams(0.37, 0.9, 0.2), steps)
+        assert positions.tolist() == window and np.array_equal(history, preallocated)
 
     def test_left_skew_after_three_steps(self):
-        result = line_walk({0: (1.0, 0.0)}, HADAMARD, 3)
-        probs = result.probabilities()
-        left = probs[result.positions < 0].sum()
-        right = probs[result.positions > 0].sum()
+        positions, history = line_history({0: (1.0, 0.0)}, HADAMARD, 3)
+        probs = probabilities(history[-1])
+        left = probs[positions < 0].sum()
+        right = probs[positions > 0].sum()
         assert left > right
 
     def test_symmetric_initial_state(self):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        result = line_walk({0: (inv_sqrt2, 1j * inv_sqrt2)}, HADAMARD, 10)
-        probs = result.probabilities()
+        _, history = line_history({0: (inv_sqrt2, 1j * inv_sqrt2)}, HADAMARD, 10)
+        probs = probabilities(history[-1])
         assert np.max(np.abs(probs - probs[::-1])) < 1e-12
 
     def test_probability_conserved(self):
-        result = line_walk({0: (1.0, 0.0)}, HADAMARD, 100)
-        for t in range(101):
-            assert abs(result.probabilities(t).sum() - 1.0) < 1e-12
+        _, tables = line_steps({0: (1.0, 0.0)}, HADAMARD, 100)
+        drifts = [abs(probabilities(table).sum() - 1.0) for table in tables]
+        assert len(drifts) == 101 and max(drifts) < 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            line_walk({0: (1.0, 1.0)}, HADAMARD, 2)
+            line_steps({0: (1.0, 1.0)}, HADAMARD, 2)
 
     @pytest.mark.parametrize("pair", [(math.nan, 0.0), (1.0, complex(math.nan, 0.0))])
     def test_rejects_non_finite_amplitudes(self, pair):
         with pytest.raises(ValueError):
             line_steps({0: pair}, HADAMARD, 2)
-        with pytest.raises(ValueError):
-            line_walk({0: pair}, HADAMARD, 2)
