@@ -24,7 +24,9 @@ from .revival import CERTIFICATION_TOL, CertificateColumns, power_deviation
 from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
-from .walk import MAX_POWER, CoinParams, WalkerState, build_walk_operator, evolve, line_steps
+from .walk import (
+    MAX_POWER, CoinParams, WalkerState, build_walk_operator, cycle_steps, evolve, line_steps,
+)
 
 __all__ = ["main"]
 
@@ -141,15 +143,6 @@ def _parse_complex_list(text: str) -> list[complex]:
     return values
 
 
-def _cycle_steps(state: WalkerState, op, steps: int):
-    """The flat amplitude vector after each of 0..steps steps."""
-    amps = state.amplitudes
-    for t in range(steps + 1):
-        if t:
-            amps = op.step(amps)
-        yield amps
-
-
 def cmd_simulate(args) -> int:
     _require(args.steps >= 0, f"--steps must be nonnegative, got {args.steps}")
     _require(args.delta_frac is None or args.alpha is None and args.beta is None,
@@ -164,8 +157,7 @@ def cmd_simulate(args) -> int:
             raise CliError(2, "--k is required unless --line is given")
         else:
             state = _initial_cycle_state(args.initial, args.k)
-            op = build_walk_operator(args.k, params)
-            positions, tables = range(args.k), _cycle_steps(state, op, args.steps)
+            positions, tables = range(args.k), cycle_steps(state, params, args.steps)
     except ValueError as exc:  # an explicit initial state that is not normalized
         raise CliError(1, str(exc)) from exc
     start, step, row, sep, end = _TABLE_FORMATS[args.out]
@@ -409,6 +401,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except MemoryError as exc:  # a --k too large for memory: numpy's first line says how large
+        print("cyclewalk: out of memory:", str(exc).partition("\n")[0], file=sys.stderr)
+        return 1
     except (CliError, ExpressionError) as exc:
         print(f"cyclewalk: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 2

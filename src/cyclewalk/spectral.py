@@ -70,7 +70,7 @@ def block_eigenpairs(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
     w = np.stack([-v[1].conj(), v[0].conj()])  # the orthogonal eigenvector, for exp(-i*theta)
     vectors = np.take_along_axis(np.stack([v.T, w.T], axis=-1), order[:, None, :], axis=2)
     vectors[2.0 * sin_t < DEGENERACY_TOL] = np.eye(2)
-    residual = np.max(np.abs(op.symbols[m] @ vectors - vectors * values[:, None, :]))
+    residual = np.max(np.abs(op.power(1)[m] @ vectors - vectors * values[:, None, :]))
     if residual > BLOCK_RESIDUAL_TOL:
         raise BlockStructureError(f"block eigenvector residual {residual:.3e}")
     return values, vectors

@@ -7,12 +7,12 @@ steps from i to i-1 (mod k); s=1 ("down") steps to i+1 (mod k).
 
 The step operator is block circulant, so it is held as its k 2x2 Fourier
 symbols and powered block by block in closed form: evolving a state by any
-number of steps costs one FFT, k 2x2 products and one inverse FFT.  A
-single step can also be taken in position space in O(k).  The dense
-2k x 2k matrix is a test oracle, in tests/oracles.py.
+number of steps costs one FFT, k 2x2 products and one inverse FFT.  The
+dense 2k x 2k matrix is a test oracle, in tests/oracles.py.
 
-On the infinite line the walk is `line_steps`: a window of positions and a
-generator of one (window, 2) amplitude table per step.
+Step by step, the walk is one coin-then-shift generator of (n, 2) tables
+whose shift is a gather the caller passes in: `cycle_steps` wraps round the
+k-cycle, and `line_steps` reads a zero row past each end of a line window.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "WalkerState",
     "build_coin",
     "build_walk_operator",
+    "cycle_steps",
     "evolve",
     "line_steps",
 ]
@@ -114,7 +115,7 @@ class WalkOperator:
     Every A_l = exp(i*phi) V_l with phi = (delta + pi)/2 and
     V_l = [[x_l, y_l], [-conj(y_l), conj(x_l)]] in SU(2), whose powers are
     V_l^n = cos(n*theta_l) I + sin(n*theta_l) (V_l - cos(theta_l) I) / sin(theta_l).
-    `coin` is C; `su2` holds (x, y, sin_theta, theta).  sin(theta_l) is read
+    `su2` holds (x, y, sin_theta, theta); `power(1)` is A_l.  sin(theta_l) is read
     off the traceless part, not the trace, so theta stays accurate near V_l = +-I.
     """
 
@@ -124,17 +125,6 @@ class WalkOperator:
     def __post_init__(self):
         params = self.params
         object.__setattr__(self, "su2", su2_form(self.k, params.rho, params.alpha, params.delta))
-        coin = build_coin(params)
-        coin.setflags(write=False)
-        object.__setattr__(self, "coin", coin)
-
-    @cached_property
-    def symbols(self) -> np.ndarray:
-        """The (k, 2, 2) array of A_l = diag(w^l, w^-l) C, in one vectorised pass."""
-        w = _roots(self.k)
-        symbols = np.stack([w, w.conj()], axis=1)[:, :, None] * self.coin
-        symbols.setflags(write=False)
-        return symbols
 
     def power(self, n: int) -> np.ndarray:
         """Symbols of U^n, (k, 2, 2), in O(k) for n <= MAX_POWER, on the unit circle at large n."""
@@ -144,16 +134,6 @@ class WalkOperator:
         blocks[:, 1, 0], blocks[:, 1, 1] = -off.conj(), diag.conj()
         blocks *= phase
         return blocks
-
-    @cached_property
-    def _sources(self) -> np.ndarray:
-        """Flat index each amplitude comes from in the shift: up from site i+1, down from i-1."""
-        i = np.arange(self.k)
-        return np.stack([2 * ((i + 1) % self.k), 2 * ((i - 1) % self.k) + 1], 1).reshape(-1)
-
-    def step(self, amplitudes) -> np.ndarray:
-        """Coin then shift in O(k); exact zeros stay exact, which an FFT round trip breaks."""
-        return (np.reshape(amplitudes, (self.k, 2)) @ self.coin.T).reshape(-1)[self._sources]
 
 
 @lru_cache(maxsize=16)
@@ -221,10 +201,7 @@ class WalkerState:
             raise ValueError(
                 f"expected {2 * self.k} amplitudes for k={self.k}, got {amps.shape[0]}"
             )
-        with np.errstate(over="ignore"):  # an overflow gives inf, which fails below
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
-            raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
+        _check_normalized(amps, "state")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -239,10 +216,12 @@ class WalkerState:
         amps[2 * position + coin] = 1.0
         return cls(k, amps)
 
-    def position_probabilities(self) -> np.ndarray:
-        """Length-k marginal probabilities over positions."""
-        p = np.abs(self.amplitudes) ** 2
-        return p[0::2] + p[1::2]
+
+def _check_normalized(amps: np.ndarray, what: str) -> None:
+    with np.errstate(over="ignore"):  # an overflow gives inf, which fails below
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
+        raise ValueError(f"{what} is not normalized: sum |a|^2 = {norm_sq!r}")
 
 
 def evolve(state: WalkerState, op: WalkOperator, steps: int) -> WalkerState:
@@ -256,6 +235,28 @@ def evolve(state: WalkerState, op: WalkOperator, steps: int) -> WalkerState:
     psi = np.fft.fft(np.reshape(state.amplitudes, (op.k, 2)), axis=0)
     moved = (op.power(steps) @ psi[:, :, None])[:, :, 0]
     return WalkerState(state.k, np.fft.ifft(moved, axis=0).reshape(-1))
+
+
+def _tables(table: np.ndarray, params: CoinParams, sources: np.ndarray, steps: int):
+    """`table`, then the table after each of `steps` coin-then-shift steps: the shift gathers
+    the flat indices `sources`, shaped like the table, from the coined table with a zero row
+    appended.  Every table is a new array; exact zeros stay exact, which an FFT would break."""
+    coin_t = build_coin(params).T.copy()
+    coined = np.zeros((len(table) + 1, 2), dtype=np.complex128)  # the last row stays zero
+    yield table
+    for _ in range(steps):
+        np.matmul(table, coin_t, out=coined[:-1])
+        table = coined.reshape(-1)[sources]
+        yield table
+
+
+def cycle_steps(state: WalkerState, params: CoinParams, steps: int) -> Iterator[np.ndarray]:
+    """The (k, 2) amplitude table of `state` after each of 0..steps steps on its cycle."""
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
+    i = np.arange(state.k)  # up comes from site i+1, down from i-1, round the cycle
+    sources = np.stack([2 * ((i + 1) % state.k), 2 * ((i - 1) % state.k) + 1], axis=1)
+    return _tables(state.amplitudes.reshape(-1, 2), params, sources, int(steps))
 
 
 def line_steps(
@@ -283,19 +284,9 @@ def line_steps(
         if pair.shape != (2,):
             raise ValueError(f"position {pos}: expected an (up, down) pair")
         amps[pos - lo] = pair
-    with np.errstate(over="ignore"):  # an overflow gives inf, which fails below
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if not abs(norm_sq - 1.0) <= NORM_TOL:  # so that NaN fails
-        raise ValueError(f"initial state is not normalized: sum |a|^2 = {norm_sq!r}")
+    _check_normalized(amps, "initial state")
     positions = np.arange(lo, hi + 1)
     positions.setflags(write=False)
-    return positions, _line_tables(amps, build_coin(params).T.copy(), steps)
-
-
-def _line_tables(amps: np.ndarray, coin_t: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    yield amps
-    for _ in range(steps):
-        coined, amps = amps @ coin_t, np.zeros_like(amps)
-        amps[:-1, 0] = coined[1:, 0]  # up moves left
-        amps[1:, 1] = coined[:-1, 1]  # down moves right
-        yield amps
+    # past the ends, up reads the zero row at flat 2n and down at flat -1
+    i = np.arange(len(amps))
+    return positions, _tables(amps, params, np.stack([2 * i + 2, 2 * i - 1], axis=1), steps)

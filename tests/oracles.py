@@ -11,9 +11,11 @@ batched certification must reproduce, the sort/dedupe/LCM normalisation of
 Fraction generators that integer numerators over N must reproduce, and the
 Fraction-set approximate solver (with its companion and degenerate-block
 fraction sets) that the integer (num, den) pairs must reproduce.
-The row-list `simulate` emitter, with its preallocated line-walk history,
-is the reference that the streamed emitter must match byte for byte, and
-the certificate dict codec that of the columnar `solve` line writer.
+The dense Fourier symbols are what the SU(2) form's first power must equal.
+The row-list `simulate` emitter, with its own flat-gather cycle step and its
+preallocated line-walk history, is the reference that the streamed emitter
+and the walk's step tables must match bit for bit, and the certificate dict
+codec that of the columnar `solve` line writer.
 """
 
 from __future__ import annotations
@@ -72,9 +74,33 @@ def build_shift_cycle(k: int) -> np.ndarray:
 
 def walk_matrix(op: WalkOperator) -> np.ndarray:
     """Dense 2k x 2k step matrix: shift_cycle(k) . (I_k kron coin).  Oracle only."""
-    step = build_shift_cycle(op.k) @ np.kron(np.eye(op.k), op.coin)
+    step = build_shift_cycle(op.k) @ np.kron(np.eye(op.k), build_coin(op.params))
     step.setflags(write=False)
     return step
+
+
+def fourier_symbols(k: int, params: CoinParams) -> np.ndarray:
+    """The (k, 2, 2) Fourier symbols A_l = diag(w^l, w^-l) C, w = exp(2*pi*i/k), built
+    densely from the coin: what `WalkOperator.power(1)` must equal."""
+    w = np.exp(2j * math.pi / k * np.arange(k))
+    return np.stack([w, w.conj()], axis=1)[:, :, None] * build_coin(params)
+
+
+def cycle_step(k: int, coin: np.ndarray, amplitudes) -> np.ndarray:
+    """One coin-then-shift step on the k-cycle as a flat gather: up comes from site i+1,
+    down from i-1.  The step the streamed cycle tables must match bit for bit."""
+    i = np.arange(k)
+    sources = np.stack([2 * ((i + 1) % k), 2 * ((i - 1) % k) + 1], 1).reshape(-1)
+    return (np.reshape(amplitudes, (k, 2)) @ coin.T).reshape(-1)[sources]
+
+
+def reference_cycle_history(state, params: CoinParams, steps: int) -> list[np.ndarray]:
+    """The flat amplitude vector of a cycle walk after each of 0..steps steps."""
+    coin = build_coin(params)
+    history = [state.amplitudes]
+    for _ in range(steps):
+        history.append(cycle_step(state.k, coin, history[-1]))
+    return history
 
 
 def fourier_matrix(m: int) -> np.ndarray:
@@ -520,10 +546,7 @@ def reference_simulate(argv: list[str]) -> str:
         history = history.reshape(args.steps + 1, -1)
     else:
         state = cli._initial_cycle_state(args.initial, args.k)
-        op = WalkOperator(args.k, params)
-        history = [state.amplitudes]
-        for _ in range(args.steps):
-            history.append(op.step(history[-1]))
+        history = reference_cycle_history(state, params, args.steps)
         positions = range(args.k)
     header = ["step", "position", "coin", "re", "im", "prob"]
     cells = [(pos, coin) for pos in positions for coin in (0, 1)]

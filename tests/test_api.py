@@ -121,6 +121,22 @@ def test_one_table_form_and_one_line_walk():
     assert "line_steps" in importlib.import_module("cyclewalk.walk").__all__
 
 
+def test_one_walk_step_and_one_form_of_the_blocks():
+    # `cycle_steps` and `line_steps` share one coin-then-shift generator; the blocks are `su2`
+    gone = {
+        "cyclewalk.walk": ("_line_tables",),
+        "cyclewalk.cli": ("_cycle_steps",),
+    }
+    for module, names in gone.items():
+        assert [n for n in names if hasattr(importlib.import_module(module), n)] == [], module
+    assert [n for n in ("step", "_sources", "symbols", "coin") if hasattr(WalkOperator, n)] == []
+    op = WalkOperator(3, cyclewalk.HADAMARD)
+    assert sorted(vars(op)) == ["k", "params", "su2"]
+    assert not hasattr(cyclewalk.WalkerState, "position_probabilities")
+    assert "cycle_steps" in importlib.import_module("cyclewalk.walk").__all__
+    assert "cycle_steps" not in cyclewalk.__all__
+
+
 def test_special_keeps_its_self_timed_names():
     # the benchmark tracer self-times both; the eigenbasis holds no dense vectors
     special = importlib.import_module("cyclewalk.special")

@@ -271,6 +271,34 @@ def test_oversized_seed_scan_exits_1_with_one_line(capsys, monkeypatch):
     assert "--max-den 200000" in err and "max_den**2/2" in err and "20000000000" in err
 
 
+#: each command with the library call it is made to fail in; the cycles are small, so
+#: nothing is allocated for real before the call refuses
+OUT_OF_MEMORY = {
+    "simulate": (["simulate", "--k", "3", "--steps", "1"], "cycle_steps"),
+    "verify": (["verify", "--k", "3", "--rho", "1/2", "--delta-frac", "0/1", "--n", "2"],
+               "power_deviation"),
+    "solve": (["solve", "--k", "3", "--case", "rho-edge", "--rho", "1", "--delta-frac", "1/3"],
+              "solve_rho_edge"),
+    "special": (["special", "--k", "3", "--rho", "1/2", "--delta-frac", "0/1", "--period", "2"],
+                "eigenbasis"),
+}
+
+
+@pytest.mark.parametrize("command", OUT_OF_MEMORY)
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, command):
+    # what numpy raises for a --k too large for memory, without allocating it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,) "
+                          "and data type int64\n(a second line)")
+
+    argv, call = OUT_OF_MEMORY[command]
+    monkeypatch.setattr(cli, call, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("cyclewalk: out of memory: Unable to allocate 74.5 GiB for an array with "
+                   "shape (10000000000,) and data type int64\n")
+
+
 #: explicit amplitude pairs of norm 1 (up to rounding), with negative and imaginary parts
 UNIT_PAIRS = [("0.6", "0.8"), ("-0.6", "0.8j"), ("0.8j", "-0.6"), ("-1", "-0"), ("0", "-1j")]
 #: exact zeros, as complex() reads them: +-0 in the real and in the imaginary part

@@ -23,7 +23,14 @@ from cyclewalk import (
     power_deviation,
 )
 from cyclewalk.revival import certify, power_deviations
-from oracles import eigenvector_matrix, walk_matrix
+from cyclewalk.walk import cycle_steps, line_steps
+from oracles import (
+    eigenvector_matrix,
+    fourier_symbols,
+    reference_cycle_history,
+    reference_line_history,
+    walk_matrix,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,21 +90,65 @@ def test_evolve_matches_dense_steps(k, rho, delta, steps):
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-13
 
 
+def second_table(state, params):
+    """The flat amplitudes after one `cycle_steps` step."""
+    return list(cycle_steps(state, params, 1))[1].reshape(-1)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(k=cycle_lengths, rho=weights, delta=deltas)
 def test_single_step_matches_dense_matrix(k, rho, delta):
-    op = build_walk_operator(k, CoinParams.from_delta(rho, delta))
+    params = CoinParams.from_delta(rho, delta)
+    op = build_walk_operator(k, params)
     raw = np.random.default_rng(k).normal(size=(2 * k, 2)) @ np.array([1.0, 1j])
-    assert np.max(np.abs(op.step(raw) - walk_matrix(op) @ raw)) < 1e-15
+    state = WalkerState(k, raw / (norm := np.linalg.norm(raw)))
+    error = np.max(np.abs(second_table(state, params) - walk_matrix(op) @ state.amplitudes))
+    assert error * norm < 1e-15  # at the scale of raw, not only of the unit vector
     # from |0, up> one step reaches only |k-1, up> and |1, down>
-    assert np.count_nonzero(op.step(np.eye(2 * k)[0])) <= 2
+    assert np.count_nonzero(second_table(WalkerState.basis_state(k, 0, 0), params)) <= 2
+
+
+def signed_bits(tables):
+    """The float64 words of stacked amplitude tables: equal only if every bit is, np.signbit
+    of each zero included."""
+    return np.stack(tables).view(np.uint64)
+
+
+#: amplitudes with exact and signed zeros, which a step must carry bit for bit
+cells = st.sampled_from([0.0, -0.0, 0.6, -0.8, 1.0, 0.3])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    k=cycle_lengths, rho=weights, delta=deltas, steps=st.integers(0, 30),
+    cycle=st.lists(st.tuples(cells, cells), min_size=4, max_size=48),
+    pair=st.tuples(cells, cells, cells, cells), start=st.integers(-3, 3),
+)
+def test_step_tables_match_the_oracle_histories_bit_for_bit(
+    k, rho, delta, steps, cycle, pair, start
+):
+    params = CoinParams.from_delta(rho, delta)
+    raw = np.array([complex(*cell) for cell in (cycle * k)[: 2 * k]])
+    if not np.abs(raw).max():
+        raw[0] = 1.0
+    state = WalkerState(k, raw / np.linalg.norm(raw))
+    expected = signed_bits(reference_cycle_history(state, params, steps))
+    got = signed_bits([table.reshape(-1) for table in cycle_steps(state, params, steps)])
+    assert np.array_equal(got, expected)
+    pair = np.array([complex(*pair[:2]), complex(*pair[2:])])
+    initial = {start: tuple(pair / np.linalg.norm(pair)) if np.abs(pair).max() else (1.0, -0.0)}
+    positions, tables = line_steps(initial, params, steps)
+    window, history = reference_line_history(initial, params, steps)
+    assert positions.tolist() == window
+    assert np.array_equal(signed_bits(list(tables)), signed_bits(history))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(k=cycle_lengths, rho=weights, delta=deltas)
 def test_powers_reproduce_symbols(k, rho, delta):
-    op = build_walk_operator(k, CoinParams.from_delta(rho, delta))
-    assert np.max(np.abs(op.power(1) - op.symbols)) < 1e-15
+    params = CoinParams.from_delta(rho, delta)
+    op = build_walk_operator(k, params)
+    assert np.max(np.abs(op.power(1) - fourier_symbols(k, params))) < 1e-15
     assert np.max(np.abs(op.power(0) - np.eye(2))) < 1e-15
 
 
@@ -107,8 +158,9 @@ def test_symbols_block_diagonalize_the_dense_step():
     positions = np.exp(-2j * math.pi / k * np.outer(np.arange(k), np.arange(k)))
     fourier = np.kron(positions, np.eye(2))  # psi^_l = sum_i exp(-2*pi*i*i*l/k) psi_i
     blocks = fourier @ walk_matrix(op) @ np.linalg.inv(fourier)
+    symbols = op.power(1)
     for l in range(k):
-        assert np.max(np.abs(blocks[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] - op.symbols[l])) < 1e-13
+        assert np.max(np.abs(blocks[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] - symbols[l])) < 1e-13
 
 
 @pytest.mark.parametrize("k", [8, 12])

@@ -248,8 +248,8 @@ class TestDoublingProperty:
     def test_double_cycle_symbols_are_signed_cycle_symbols(self, k):
         rng = np.random.default_rng(k)
         params = CoinParams(rng.uniform(0.0, 1.0), *rng.uniform(0.0, math.pi, 2))
-        symbols = build_walk_operator(k, params).symbols
-        doubled = build_walk_operator(2 * k, params).symbols
+        symbols = build_walk_operator(k, params).power(1)
+        doubled = build_walk_operator(2 * k, params).power(1)
         l = np.arange(2 * k)
         # exp(i*pi*l/k) is w_k^(l/2) for even l and -w_k^((l+k)/2) for odd l
         partner = np.where(l % 2 == 0, l // 2, (l + k) // 2 % k)

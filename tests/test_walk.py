@@ -219,10 +219,6 @@ class TestWalkerState:
         with pytest.raises(ValueError):
             WalkerState(3, np.array([1.0, 0.0, 0.0, 0.0, 0.0, bad]))
 
-    def test_position_probabilities(self):
-        state = WalkerState(2, np.array([0.6, 0.8j, 0.0, 0.0]))
-        assert np.allclose(state.position_probabilities(), [1.0, 0.0])
-
 
 def reference_line_walk(initial, params, steps):
     """Independent dict-based stepping oracle for the line walk."""
