@@ -24,9 +24,7 @@ from .revival import CERTIFICATION_TOL, CertificateColumns, power_deviation
 from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
-from .walk import (
-    MAX_POWER, CoinParams, WalkerState, build_walk_operator, cycle_steps, evolve, line_steps,
-)
+from .walk import MAX_POWER, CoinParams, WalkerState, cycle_steps, line_steps
 
 __all__ = ["main"]
 
@@ -309,20 +307,18 @@ def cmd_special(args) -> int:
     except ValueError as exc:
         raise CliError(1, str(exc)) from exc
 
-    op = build_walk_operator(args.k, params)
-    fidelities = [
-        float(abs(np.vdot(state.amplitudes, evolve(state, op, t).amplitudes)))
-        for t in range(args.period + 1)
-    ]
+    # |<psi|U^t psi>| for t = 0..period, one coin-then-shift step each
+    tables = cycle_steps(state, params, args.period)
+    fidelities = np.abs([np.vdot(state.amplitudes, table) for table in tables])
     payload = {
         "k": args.k,
         "rho": params.rho,
         "delta_two_pi": str(dtp),
         "period": args.period,
         "subspace_blocks": subspace.blocks.tolist(),
-        "subspace_eigenvalues": [[z.real, z.imag] for z in subspace.values.tolist()],
-        "state": [[a.real, a.imag] for a in state.amplitudes],
-        "fidelities": fidelities,
+        "subspace_eigenvalues": subspace.values.view(np.float64).reshape(-1, 2).tolist(),
+        "state": state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
+        "fidelities": fidelities.tolist(),
     }
     print(json.dumps(payload))
     return 0 if fidelities[-1] > 1.0 - 1e-9 else 1

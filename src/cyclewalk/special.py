@@ -4,26 +4,48 @@ When only a subset of the eigenvalues are N-th roots of unity, any state in
 the span of their eigenvectors returns after N steps even though U^N != I.
 Each full-space eigenvector is a plane wave over positions times a 2-vector
 coin eigenvector of one Fourier block, so eigenpairs are held as (block,
-value, coin) arrays and a combination of them is one FFT over the blocks.
+value, coin) arrays, built in closed form from the blocks' SU(2) angles
+(`walk.WalkOperator`), and a combination of them is one FFT over the blocks.
 The dense eigenvectors are a test oracle, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import block_eigenpairs
-from .walk import CoinParams, WalkerState, build_walk_operator, evolve
+from .walk import CoinParams, WalkerState, block_phases, build_walk_operator, evolve
 
 __all__ = [
+    "BLOCK_RESIDUAL_TOL",
+    "DEGENERACY_TOL",
+    "BlockStructureError",
     "DeMoivreSubspace",
     "EigenBasis",
     "build_special_state",
     "demoivre_subspace",
     "eigenbasis",
+    "principal_phase",
 ]
+
+TWO_PI = 2.0 * math.pi
+
+BLOCK_RESIDUAL_TOL = 1e-10
+DEGENERACY_TOL = 1e-10
+
+
+class BlockStructureError(RuntimeError):
+    """The operator did not reduce to the expected block structure.
+
+    This signals a construction bug somewhere upstream, not bad user input.
+    """
+
+
+def principal_phase(values) -> np.ndarray:
+    """Phases folded into [0, 2*pi)."""
+    return np.mod(np.angle(values), TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -57,14 +79,35 @@ class DeMoivreSubspace(EigenBasis):
 
 
 def eigenbasis(k: int, params: CoinParams) -> EigenBasis:
-    """All 2k eigenpairs, block-major, each block's in principal-phase order.
+    """All 2k eigenpairs in closed form, block-major, each block's in principal-phase order.
 
-    A block with a repeated eigenvalue is a scalar, and its coin vectors are
-    the computational basis (see `spectral.block_eigenpairs`).
+    Block l is that of F U F^dagger, the symbol A_{-l mod k}, with eigenvalues
+    exp(i*phi) exp(+-i*theta).  A block within DEGENERACY_TOL of a scalar gets
+    the computational basis as its coin vectors.  The pairs are checked
+    against the symbols, and a residual past BLOCK_RESIDUAL_TOL raises.
     """
-    values, vectors = block_eigenpairs(build_walk_operator(k, params))
-    coins = vectors.transpose(0, 2, 1).reshape(-1, 2)  # coins[2l + j] = vectors[l, :, j]
-    return EigenBasis(k, params, np.repeat(np.arange(k), 2), values.reshape(-1), coins)
+    op = build_walk_operator(k, params)
+    m = -np.arange(k) % k
+    x, y, sin_t, theta = (part[m] for part in op.su2)
+    values = np.exp(1j * block_phases(theta, params.delta))
+    order = np.argsort(principal_phase(values), axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    # V v = exp(i*theta) v, from whichever row of V - exp(i*theta) I is better conditioned
+    a = x.imag
+    top = a >= 0.0
+    v = np.stack([np.where(top, -1j * (a + sin_t), y), np.where(top, y.conj(), 1j * (sin_t - a))],
+                 axis=-1)
+    norm = np.sqrt(2.0 * sin_t * (sin_t + np.abs(a)))[:, None]
+    v = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0.0)
+    w = np.stack([-v[:, 1].conj(), v[:, 0].conj()], axis=-1)  # the one for exp(-i*theta)
+    coins = np.take_along_axis(np.stack([v, w], axis=1), order[:, :, None], axis=1)
+    coins[2.0 * sin_t < DEGENERACY_TOL] = np.eye(2)  # coins[l, j] belongs to values[l, j]
+    # row j of coins @ A^T is (A coins[l, j])^T
+    residual = np.max(np.abs(coins @ op.power(1)[m].transpose(0, 2, 1) - coins * values[..., None]))
+    if residual > BLOCK_RESIDUAL_TOL:
+        raise BlockStructureError(f"block eigenvector residual {residual:.3e}")
+    return EigenBasis(k, params, np.repeat(np.arange(k), 2), values.reshape(-1),
+                      coins.reshape(-1, 2))
 
 
 def demoivre_subspace(

@@ -50,14 +50,14 @@ from cyclewalk.solver import (
     weight,
     weight_forms,
 )
-from cyclewalk.special import EigenBasis
-from cyclewalk.spectral import (
+from cyclewalk.special import (
     BLOCK_RESIDUAL_TOL,
     TWO_PI,
     BlockStructureError,
-    full_spectrum,
+    EigenBasis,
     principal_phase,
 )
+from cyclewalk.spectral import full_spectrum
 from cyclewalk.walk import CoinParams, WalkOperator, build_coin
 
 

@@ -144,6 +144,17 @@ def test_special_keeps_its_self_timed_names():
     assert not hasattr(special.EigenBasis, "vectors")
 
 
+def test_special_holds_the_eigenpairs_and_steps_its_fidelity_curve():
+    # `spectral` reads its spectrum off `special.eigenbasis`; `cli` evolves nothing itself
+    spectral = importlib.import_module("cyclewalk.spectral")
+    assert spectral.__all__ == ["full_spectrum"]
+    moved = ("block_eigenpairs", "_block_values", "BLOCK_RESIDUAL_TOL", "DEGENERACY_TOL",
+             "BlockStructureError", "principal_phase")
+    assert [name for name in moved if hasattr(spectral, name)] == []
+    cli = importlib.import_module("cyclewalk.cli")
+    assert [name for name in ("evolve", "build_walk_operator") if hasattr(cli, name)] == []
+
+
 def test_walk_operator_has_no_dense_matrix():
     assert not hasattr(WalkOperator, "matrix")
 

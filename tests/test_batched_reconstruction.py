@@ -23,7 +23,7 @@ from cyclewalk import (
     revival_period,
     solve_rho_edge,
 )
-from cyclewalk import revival, spectral
+from cyclewalk import revival, special, spectral
 from cyclewalk.revival import MAX_POWER, _proved_fractions
 from cyclewalk.walk import WalkOperator, block_phases, su2_form
 from oracles import from_generators, revival_period_per_phase, rho_one_generators
@@ -203,7 +203,7 @@ def test_large_spectrum_needs_no_per_phase_fallback(monkeypatch):
 
     monkeypatch.setattr(Fraction, "limit_denominator", counted)
     # nor does it build an operator or eigenvectors
-    monkeypatch.setattr(spectral, "block_eigenpairs", refuse)
+    monkeypatch.setattr(special, "eigenbasis", refuse)
     monkeypatch.setattr(spectral, "full_spectrum", refuse)
     monkeypatch.setattr(WalkOperator, "__post_init__", refuse)
     cert = revival_period(4096, CoinParams.from_delta(1.0, TWO_PI / 3), max_n=10**6)

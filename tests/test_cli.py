@@ -19,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclewalk import cli, solver, tables
+from cyclewalk import CoinParams, build_walk_operator, cli, solver, special, tables, walk
 from cyclewalk.cli import main
 from cyclewalk.revival import RevivalCertificate, power_deviations
 from cyclewalk.solver import solve_seeded
-from oracles import certificate_from_json, certificate_to_json, reference_simulate
+from oracles import certificate_from_json, certificate_to_json, reference_simulate, walk_matrix
 from test_tables import GOLDEN_RHOS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -182,6 +182,15 @@ def test_solve_golden_deviation_is_measured_on_its_own_cycle(name):
 
 #: `special` runs pinned with their argv, exit code and output
 SPECIAL_GOLDEN = ["period5", "full", "scalar_blocks", "k128", "stationary"]
+
+
+def special_argv(name: str) -> str:
+    """The argv, after `special`, of a pinned `special` run."""
+    return json.loads((GOLDEN / f"special_{name}.json").read_text())["argv"]
+
+
+#: a k=64 coin with the eigenphase 2*pi/24 on block 5, so a state of period 24 exists
+SPECIAL_K64 = "--k 64 --rho (1-cos(pi/6))/(1-cos(5*pi/16)) --delta-frac 0/1 --period 24"
 
 #: `verify --table` runs whose line and exit code are pinned, one failing at a tolerance too tight
 VERIFY_TABLE_GOLDEN = {
@@ -629,6 +638,38 @@ class TestSpecial:
         for key in ("state", "fidelities"):
             gap = np.max(np.abs(np.array(got[key]) - np.array(want[key])))
             assert np.shape(got[key]) == np.shape(want[key]) and gap < 1e-13, key
+
+    @pytest.mark.parametrize("period", [5, 24])
+    def test_evolve_is_called_once_for_the_revival_check(self, capsys, monkeypatch, period):
+        # the fidelity curve is stepped; only build_special_state evolves, by the period
+        argv = {5: special_argv("period5"), 24: SPECIAL_K64}[period]
+        real, calls = walk.evolve, []
+        spy = lambda state, op, steps: calls.append(steps) or real(state, op, steps)
+        for module in (walk, special, cli):
+            if getattr(module, "evolve", None) is real:
+                monkeypatch.setattr(module, "evolve", spy)
+        code, _, err = run_cli(capsys, "special", *argv.split())
+        assert (code, err, calls) == (0, "", [period])
+
+    @pytest.mark.parametrize("argv", [
+        *(special_argv(name) for name in SPECIAL_GOLDEN if name != "stationary"),
+        special_argv("period5") + " --coeffs 1,2j,-0.5,1+1j",
+        SPECIAL_K64,
+    ])
+    def test_fidelities_match_the_dense_walk(self, capsys, argv):
+        code, out, err = run_cli(capsys, "special", *argv.split())
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        dtp = Fraction(payload["delta_two_pi"])
+        params = CoinParams(payload["rho"], 2.0 * math.pi * float(dtp))
+        step = walk_matrix(build_walk_operator(payload["k"], params))
+        psi = np.array(payload["state"]) @ [1.0, 1.0j]
+        want, current = [], psi
+        for _ in payload["fidelities"]:  # |psi^dagger W^t psi| for t = 0..period
+            want.append(abs(np.vdot(psi, current)))
+            current = step @ current
+        assert len(want) == payload["period"] + 1
+        assert np.max(np.abs(np.array(payload["fidelities"]) - want)) < 1e-12
 
 
 class TestInputContract:

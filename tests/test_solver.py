@@ -23,7 +23,7 @@ from cyclewalk import (
 from cyclewalk import revival, solver, walk
 from cyclewalk.cli import main
 from cyclewalk.solver import _companion_pairs, _degenerate_pairs
-from cyclewalk.spectral import principal_phase
+from cyclewalk.special import principal_phase
 from cyclewalk.tables import TABLE2_ROWS, TABLE3_ROWS, TABLE5_ROWS
 from oracles import (
     certificate_to_json,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cyclewalk import CoinParams, build_walk_operator, full_spectrum
-from cyclewalk.spectral import principal_phase
+from cyclewalk.special import principal_phase
 from oracles import (
     block_diagonalize,
     block_formula,
