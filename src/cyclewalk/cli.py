@@ -54,8 +54,7 @@ def _json_lines(columns: CertificateColumns, rows: int = 4096):
     """One JSON line per row of the columns (the `solve` schema of README; "expr" is always
     null), written with format strings, yielded `rows` lines at a time so the text held stays
     bounded.  `certificate_to_json` in tests/oracles.py is the dict writer they must match."""
-    dtp = columns.delta_two_pi
-    num, den = ("null", "null") if dtp is None else dtp.as_integer_ratio()
+    num, den = columns.delta_two_pi.as_integer_ratio()
     line = (f'{{"k": {columns.k}, "N": %d, "rho": {{"value": %r, "expr": null}}, "delta": '
             f'{{"two_pi_num": {num}, "two_pi_den": {den}, "radians": {float(columns.delta)!r}}}, '
             f'"generators": [%s], "max_deviation": %r, "case_tag": "{columns.case_tag}"}}\n')
@@ -367,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sol.add_argument("--seed", help="seed fraction m/n")
     sol.add_argument("--delta-frac", help="delta as a fraction of 2*pi")
-    sol.add_argument("--delta-rad", type=float, help="delta in radians (approx only)")
+    sol.add_argument("--delta-rad", type=float,
+                     help="delta as a rational turn, in radians (approx only)")
     sol.add_argument("--rho", help="coin weight (rho-edge: 0|1, approx: target)")
     sol.add_argument("--max-den", type=int, help="seed denominator bound (default 24)")
     sol.add_argument("--max-n", type=int)

@@ -28,8 +28,6 @@ __all__ = [
     "CERTIFICATION_TOL",
     "CertificateColumns",
     "DEFAULT_MAX_DENOMINATOR",
-    "PHASE_RECONSTRUCTION_TOL",
-    "UNDEFINED_DENOMINATOR_TOL",
     "RevivalCertificate",
     "certify",
     "power_deviation",
@@ -40,8 +38,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 CERTIFICATION_TOL = 1e-9
-PHASE_RECONSTRUCTION_TOL = 1e-9
-UNDEFINED_DENOMINATOR_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 1000
 
 #: Fourier blocks per engine pass in `certify`; bounds its memory
@@ -177,7 +173,7 @@ class CertificateColumns:
     distinct: np.ndarray
     max_deviation: np.ndarray
     case_tag: str
-    delta_two_pi: Fraction | None
+    delta_two_pi: Fraction
 
     def take(self, rows) -> CertificateColumns:
         """These rows, in this order."""
@@ -197,8 +193,8 @@ class CertificateColumns:
         )
 
 
-def certify(k: int, delta: float, rho, n, numerators, distinct, *, case_tag: str = "reconstructed",
-            delta_two_pi: Fraction | None = None, exact: bool = True) -> CertificateColumns:
+def certify(k: int, delta: float, rho, n, numerators, distinct, *, delta_two_pi: Fraction,
+            case_tag: str = "reconstructed", exact: bool = True) -> CertificateColumns:
     """The candidate columns (see `CertificateColumns`) measured on the k-cycle, one engine pass
     per chunk of rows in order; with `exact`, the first row to miss I by CERTIFICATION_TOL
     raises."""
@@ -220,17 +216,17 @@ def revival_period(
 ) -> RevivalCertificate | None:
     """Detect the revival period from the closed-form spectrum, the block angles of `su2_form`.
 
-    Every eigenphase must be proved (`_proved_fractions`) as a fraction within
-    PHASE_RECONSTRUCTION_TOL with denominator at most min(max_n, 2**24); the candidate period
-    is the LCM of those denominators.  Returns None when any phase fails, the LCM exceeds
-    max_n or MAX_POWER, or the powered operator misses I by CERTIFICATION_TOL or more.
+    Every eigenphase must be proved (`_proved_fractions`) as a fraction with denominator at
+    most min(max_n, 2**24); the candidate period is the LCM of those denominators.  Returns
+    None when any phase is unproved, the LCM exceeds min(max_n, MAX_POWER), or the powered
+    operator misses I by CERTIFICATION_TOL or more.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     theta = su2_form(k, params.rho, params.alpha, params.delta)[3]
     x = block_phases(theta, params.delta) / TWO_PI % 1.0  # the 2k eigenphases, in turns
     p, q, proved = _proved_fractions(x, max_n)
-    if not (proved.all() and (np.abs(x - p / q) < PHASE_RECONSTRUCTION_TOL).all()):
+    if not proved.all():
         return None
     p, q = p.astype(np.int64), q.astype(np.int64)
     n = math.lcm(*_distinct(q))

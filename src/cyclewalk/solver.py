@@ -21,7 +21,9 @@ a stated bound and Python ints past it.  `revival.certify` measures the candidat
 on the k-cycle alone, as `CertificateColumns` (for odd k each 2k-cycle block is +-a k-cycle
 block, so U_k^N = I iff U_2k^N = I at even N, and every seeded N is even: s and s + 1/2 are
 generators).  Every solver returns the certified columns: `solve_seeded`, `solve_rho_edge`
-and `solve_approximate` run the same array rules on one row.
+and `solve_approximate` run the same array rules on one row.  Every search works at a
+rational d only: each block's eigenvalues multiply to -exp(i*delta), so at an irrational turn
+no block's two are both roots of unity, and no power of U is I.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .revival import UNDEFINED_DENOMINATOR_TOL, CertificateColumns, certify
-from .spectral import full_spectrum
-from .walk import CoinParams
+from .revival import CertificateColumns, certify
 
 __all__ = [
     "APPROX_DENOMINATOR_CAP",
@@ -337,16 +337,17 @@ def solve_approximate(
     delta: float | Fraction,
     epsilon: float,
 ) -> CertificateColumns | None:
-    """Best-effort near-revival for a fixed coin, one row.
+    """Best-effort near-revival for a fixed coin at a rational turn, one row.
 
     For each weight form the smallest-denominator fraction whose weight sits
-    within epsilon of rho is selected, the generator set is completed
-    (exactly, through companions, when delta is a rational turn; phase by
-    phase otherwise), and N is the LCM of the denominators.  The recorded
+    within epsilon of rho is selected, the generator set is completed exactly
+    through companions, and N is the LCM of the denominators.  The recorded
     deviation is whatever N actually achieves and is NOT required to clear
-    the certification tolerance.  Returns None when some form admits no
-    fraction with denominator <= APPROX_DENOMINATOR_CAP or the LCM exceeds
-    APPROX_PERIOD_CAP.
+    the certification tolerance.  A float delta is read as the turn u/v
+    (v <= 1000) within 1e-12 of delta/(2*pi); any other float raises ValueError,
+    and an exact turn, of any denominator, is passed as a Fraction.  Returns None
+    when some form admits no fraction with denominator <= APPROX_DENOMINATOR_CAP
+    or the LCM exceeds APPROX_PERIOD_CAP.
     """
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
@@ -357,51 +358,28 @@ def solve_approximate(
     if isinstance(delta, Fraction):
         dtp = delta % 1
     else:
-        # floats within 1e-12 of a turn u/v with v <= 1000 (e.g. 0.0) get the exact
-        # companion treatment; x is measured before reducing, so x near 1 reads as 0/1
+        # x is measured before reducing, so x near 1 reads as 0/1
         x = float(delta) % TWO_PI / TWO_PI % 1.0
         dtp = Fraction(x).limit_denominator(1000)
-        dtp = dtp % 1 if abs(x - float(dtp)) < 1e-12 else None
-    delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
-    params = CoinParams.from_delta(rho, delta_value)
+        if not abs(x - float(dtp)) < 1e-12:
+            raise ValueError(f"delta/(2*pi) = {x!r} (mod 1) is not a turn u/v with v <= 1000 "
+                             "within 1e-12; pass --delta-frac for an exact turn")
+        dtp %= 1
+    u, v = dtp.as_integer_ratio()
+    delta_value = TWO_PI * float(dtp)
 
-    pairs = []  # reduced (num, den) arrays, of Python ints: no int64 bound holds for their LCM
-    if dtp is not None:
-        u, v = dtp.as_integer_ratio()
-        forms, degenerate = _form_points(k, u, v)
-        pairs.append(_degenerate_pairs(k, degenerate))
-        for x in forms:
-            form_den = 1.0 - math.cos(TWO_PI * (x / (k * v)))
-            intervals = _band_intervals(rho, epsilon, form_den, delta_value)
-            if intervals is None:
-                return None
-            picked = _smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
-            if picked is None:
-                return None
-            pairs.append(_companion_pairs(*np.array(picked, dtype=object).reshape(2, 1), u, v))
-    else:
-        # irrational delta: every eigenphase needs its own fraction; row l of
-        # the spectrum is block l's pair, and each value is matched on its own
-        spectrum = full_spectrum(k, params).reshape(k, 2)
-        for l in range(k):
-            form_den = 1.0 - math.cos(4.0 * math.pi * l / k + delta_value)
-            if abs(form_den) < UNDEFINED_DENOMINATOR_TOL:
-                pairs.append(_degenerate_pairs(k, l))
-                continue
-            intervals = _band_intervals(rho, epsilon, form_den, delta_value)
-            if intervals is None:
-                return None
-            for value in spectrum[l]:
-                phase = (float(np.angle(value)) / TWO_PI) % 1.0
-                near = [
-                    (a, b)
-                    for a, b in intervals
-                    if a - 1e-9 <= phase <= b + 1e-9
-                ]
-                picked = _smallest_fraction_in(near or intervals, APPROX_DENOMINATOR_CAP)
-                if picked is None:
-                    return None
-                pairs.append(picked)
+    forms, degenerate = _form_points(k, u, v)
+    # reduced (num, den) arrays, of Python ints: no int64 bound holds for their LCM
+    pairs = [_degenerate_pairs(k, degenerate)]
+    for x in forms:
+        form_den = 1.0 - math.cos(TWO_PI * (x / (k * v)))
+        intervals = _band_intervals(rho, epsilon, form_den, delta_value)
+        if intervals is None:
+            return None
+        picked = _smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
+        if picked is None:
+            return None
+        pairs.append(_companion_pairs(*np.array(picked, dtype=object).reshape(2, 1), u, v))
 
     nums, dens = (np.concatenate([np.ravel(a) for a in side]).astype(object)[None]
                   for side in zip(*pairs))

@@ -36,8 +36,6 @@ from cyclewalk.revival import (
     _PROVABLE_DEN,
     CERTIFICATION_TOL,
     DEFAULT_MAX_DENOMINATOR,
-    PHASE_RECONSTRUCTION_TOL,
-    UNDEFINED_DENOMINATOR_TOL,
     RevivalCertificate,
     power_deviation,
 )
@@ -251,7 +249,7 @@ def phase_multiset_distance(a, b) -> float:
 def reconstruct_fraction(
     phase: float,
     max_den: int = DEFAULT_MAX_DENOMINATOR,
-    tol: float = PHASE_RECONSTRUCTION_TOL,
+    tol: float = 1e-9,
 ) -> Fraction | None:
     """phase/(2*pi) as the reduced fraction in [0, 1) that `Fraction.limit_denominator`
     picks, or None when it lies tol or more from phase/(2*pi).
@@ -329,45 +327,27 @@ def smallest_fraction_in(intervals, max_den: int) -> Fraction | None:
 
 
 def solve_approximate_fractions(k: int, rho: float, delta, epsilon: float):
-    """`solve_approximate` completing Fraction sets: companion classes for a rational
-    turn, one fraction per eigenphase otherwise, then `from_generators`."""
+    """`solve_approximate` completing Fraction sets of companion classes, then
+    `from_generators`; a float delta that is no turn u/v (v <= 1000) raises ValueError."""
     if isinstance(delta, Fraction):
         dtp = delta % 1
     else:
         dtp = reconstruct_fraction(float(delta) % TWO_PI, max_den=1000, tol=1e-12)
-    delta_value = TWO_PI * float(dtp) if dtp is not None else float(delta) % TWO_PI
+        if dtp is None:
+            raise ValueError(f"delta={delta!r} is no rational turn")
+    delta_value = TWO_PI * float(dtp)
     params = CoinParams.from_delta(rho, delta_value)
-    fractions: set[Fraction] = set()
-    if dtp is not None:
-        forms, degenerate = weight_forms(k, dtp)
-        for l in degenerate:
-            fractions |= constant_block_fractions(k, l)
-        for x in forms:
-            form_den = 1.0 - math.cos(TWO_PI * float(x))
-            intervals = _band_intervals(rho, epsilon, form_den, delta_value)
-            if intervals is None:
-                return None
-            picked = smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
-            if picked is None:
-                return None
-            fractions |= companion_fractions(picked, dtp)
-    else:
-        spectrum = full_spectrum(k, params).reshape(k, 2)
-        for l in range(k):
-            form_den = 1.0 - math.cos(4.0 * math.pi * l / k + delta_value)
-            if abs(form_den) < UNDEFINED_DENOMINATOR_TOL:
-                fractions |= constant_block_fractions(k, l)
-                continue
-            intervals = _band_intervals(rho, epsilon, form_den, delta_value)
-            if intervals is None:
-                return None
-            for value in spectrum[l]:
-                phase = (float(np.angle(value)) / TWO_PI) % 1.0
-                near = [(a, b) for a, b in intervals if a - 1e-9 <= phase <= b + 1e-9]
-                picked = smallest_fraction_in(near or intervals, APPROX_DENOMINATOR_CAP)
-                if picked is None:
-                    return None
-                fractions.add(picked)
+    forms, degenerate = weight_forms(k, dtp)
+    fractions = {f for l in degenerate for f in constant_block_fractions(k, l)}
+    for x in forms:
+        form_den = 1.0 - math.cos(TWO_PI * float(x))
+        intervals = _band_intervals(rho, epsilon, form_den, delta_value)
+        if intervals is None:
+            return None
+        picked = smallest_fraction_in(intervals, APPROX_DENOMINATOR_CAP)
+        if picked is None:
+            return None
+        fractions |= companion_fractions(picked, dtp)
     n = math.lcm(*(f.denominator for f in fractions))
     if n > APPROX_PERIOD_CAP:
         return None

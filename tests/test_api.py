@@ -71,27 +71,38 @@ def test_dense_oracles_are_not_in_the_library(module):
     assert exposed == []
 
 
-def private_imports(source: str) -> list[tuple[str, str]]:
-    """(module, name) of each `from .x import _y` (or `from cyclewalk.x import _y`)."""
+def package_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each `from .x import y` (or `from cyclewalk.x import y`); the module
+    of `from . import x` is ""."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").startswith("cyclewalk")
         ):
-            found += [(node.module, a.name) for a in node.names if a.name.startswith("_")]
+            module = (node.module or "").removeprefix("cyclewalk").lstrip(".")
+            found += [(module, a.name) for a in node.names]
     return found
+
+
+#: (module, name) pairs each library module imports from the package, by file name
+LIBRARY_IMPORTS = {
+    path.name: package_imports(path.read_text())
+    for path in sorted((SRC / "cyclewalk").glob("*.py"))
+}
+
+
+def private(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The pairs whose imported name is private (`from .x import _y`)."""
+    return [(module, name) for module, name in pairs if name.startswith("_")]
 
 
 def test_no_module_imports_a_private_name_from_another():
     # layers reach each other only through public names
-    assert private_imports("from .revival import CERTIFICATION_TOL, _CHUNK_BLOCKS") == [
+    assert private(package_imports("from .revival import CERTIFICATION_TOL, _CHUNK_BLOCKS")) == [
         ("revival", "_CHUNK_BLOCKS")
     ]
-    assert private_imports("from __future__ import annotations") == []
-    found = {
-        path.name: private_imports(path.read_text())
-        for path in sorted((SRC / "cyclewalk").glob("*.py"))
-    }
+    assert private(package_imports("from __future__ import annotations")) == []
+    found = {name: private(pairs) for name, pairs in LIBRARY_IMPORTS.items()}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -153,6 +164,21 @@ def test_special_holds_the_eigenpairs_and_steps_its_fidelity_curve():
     assert [name for name in moved if hasattr(spectral, name)] == []
     cli = importlib.import_module("cyclewalk.cli")
     assert [name for name in ("evolve", "build_walk_operator") if hasattr(cli, name)] == []
+
+
+def test_solver_answers_only_at_a_rational_turn():
+    # no per-phase branch for an irrational delta, so no library layer reads `spectral`
+    importers = [
+        name for name, pairs in LIBRARY_IMPORTS.items() if name != "__init__.py"
+        and any(module == "spectral" or (module, imported) == ("", "spectral")
+                for module, imported in pairs)
+    ]
+    assert importers == []
+    revival = importlib.import_module("cyclewalk.revival")
+    gone = ("UNDEFINED_DENOMINATOR_TOL", "PHASE_RECONSTRUCTION_TOL")
+    assert [name for name in gone if name in revival.__all__] == []
+    solver = importlib.import_module("cyclewalk.solver")
+    assert [n for n in ("full_spectrum", "UNDEFINED_DENOMINATOR_TOL") if hasattr(solver, n)] == []
 
 
 def test_walk_operator_has_no_dense_matrix():

@@ -31,7 +31,7 @@ from oracles import from_generators, revival_period_per_phase, rho_one_generator
 TWO_PI = 2.0 * math.pi
 
 MAX_NS = (1, 2, 1000, 10**6)
-#: exact, round-off sized, and either side of PHASE_RECONSTRUCTION_TOL = 1e-9
+#: exact, round-off sized, and either side of the 1e-9 window of `oracles.reconstruct_fraction`
 OFFSETS = (0.0, 1e-15, -1e-15, 9.99e-10, -9.99e-10, 1.001e-9, -1.001e-9)
 
 

@@ -550,6 +550,24 @@ class TestSolve:
         assert record["N"] == 8008
         assert (record["delta"]["two_pi_num"], record["delta"]["two_pi_den"]) == (500, 1001)
 
+    def test_approx_reads_delta_rad_as_its_turn(self, capsys):
+        # radians within 1e-12 of a turn u/v (v <= 1000) answer as that --delta-frac does
+        code, out, _ = run_cli(capsys, "solve", *SOLVE_GOLDEN["approx"].replace(
+            "--delta-frac 1/3", "--delta-rad 2.0943951023931953").split())
+        assert code == 0
+        assert out == (GOLDEN / "solve_approx.jsonl").read_text()
+
+    def test_approx_refuses_an_irrational_delta_rad(self, capsys):
+        # no power of U is I at delta = 1 rad, so no near-revival is written
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--k", "2", "--case", "approx", "--rho", "0.5",
+            "--delta-rad", "1.0", "--epsilon", "0.05",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("cyclewalk: ") and err.count("\n") == 1
+        assert "0.15915494309189535 (mod 1) is not a turn u/v" in err and "--delta-frac" in err
+
     def test_inconsistent_parameters_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--k", "2", "--case", "k2")
         assert code == 2

@@ -8,6 +8,7 @@ with each coin's batch of one.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,13 +296,17 @@ def test_batch_memory_is_bounded_in_its_size():
     rng = np.random.default_rng(6)
     rhos, ns = rng.uniform(0.0, 1.0, 20000), rng.integers(1, 3000, 20000)
     numerators = np.zeros((20000, 0), dtype=np.int64)
+    turn = Fraction(1, 6)
+    delta = 2.0 * math.pi * float(turn)
     tracemalloc.start()
     try:
-        columns = certify(6, 1.0, rhos, ns, numerators, numerators == 0, exact=False)
+        columns = certify(6, delta, rhos, ns, numerators, numerators == 0, delta_two_pi=turn,
+                          exact=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(columns.N) == 20000
     deviations = columns.max_deviation[-3:]
-    assert np.allclose(deviations, power_deviations(6, rhos[-3:], 1.0, ns[-3:]), rtol=0, atol=1e-12)
+    assert np.allclose(deviations, power_deviations(6, rhos[-3:], delta, ns[-3:]), rtol=0,
+                       atol=1e-12)
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"

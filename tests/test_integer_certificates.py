@@ -99,7 +99,7 @@ def test_period_certificates(k, uv, rho):
 @given(
     st.integers(2, 12),
     st.floats(0.05, 0.95),
-    st.sampled_from((Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 0.3)),
+    st.sampled_from((Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 0.6 * math.pi)),
 )
 @example(6, 0.37, Fraction(1, 3))
 def test_approximate_certificates(k, rho, delta):
@@ -176,7 +176,7 @@ def test_hot_paths_build_no_fraction_per_candidate(monkeypatch):
 @pytest.mark.parametrize(
     "delta, epsilon, ks",
     [(Fraction(1, 3), 0.02, (2, 6, 16)), (2.0 * math.pi / 3.0, 0.02, (2, 6, 16)),
-     (1.0, 0.1, (2, 3, 4))],  # the irrational branch: one picked fraction per eigenphase
+     (0.6 * math.pi, 0.1, (2, 3, 4))],
     ids=str,
 )
 def test_approximate_builds_fractions_only_to_read_delta(monkeypatch, delta, epsilon, ks):
@@ -207,7 +207,7 @@ def test_revival_period_keeps_a_true_revival_at_large_max_n():
 
 def test_line_writer_matches_json_dumps():
     # every record of the benchmark's searches, and the one-row results behind the goldens
-    # (rho edges, approximate, from --delta-frac and from --delta-rad), a seeded run and the
+    # (rho edges, approximate), a seeded run and the
     # two edges at delta = 0; the approximate columns hold Python ints (dtype=object)
     records = 0
     for k, dtp in PAPER_SEARCHES:
@@ -222,7 +222,6 @@ def test_line_writer_matches_json_dumps():
         solve_rho_edge(16, Fraction(3, 7), 1),
         solve_rho_edge(512, Fraction(3, 7), 1),
         solve_approximate(6, 0.37, Fraction(1, 3), 0.02),
-        solve_approximate(2, 0.5, 1.0, 0.05),
         solve_seeded(2, Fraction(2, 3), Fraction(2, 5)),
         solve_rho_edge(7, Fraction(0), 0),
         solve_rho_edge(7, Fraction(0), 1),

@@ -18,7 +18,7 @@ from cyclewalk import (
     weight,
     weight_forms,
 )
-from cyclewalk.revival import PHASE_RECONSTRUCTION_TOL, _proved_fractions
+from cyclewalk.revival import _proved_fractions
 from oracles import (
     constant_block_fractions,
     eigenvalues_closed_form,
@@ -100,10 +100,10 @@ class TestUndefinedRhoEigenvalues:
 
 
 def proved_fraction(phase: float, max_den: int) -> Fraction | None:
-    """One phase through `revival_period`'s batched proof and its 1e-9 window."""
+    """One phase through `revival_period`'s batched proof, in the reference's 1e-9 window."""
     x = np.array([phase / TWO_PI % 1.0])
     p, q, proved = _proved_fractions(x, max_den)
-    if not (proved[0] and abs(x[0] - p[0] / q[0]) < PHASE_RECONSTRUCTION_TOL):
+    if not (proved[0] and abs(x[0] - p[0] / q[0]) < 1e-9):
         return None
     return Fraction(int(p[0]), int(q[0])) % 1
 

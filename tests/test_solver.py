@@ -574,14 +574,22 @@ class TestApproximate:
         assert solve_approximate(7, 0.5, 0.0, 1e-3) is None
 
     def test_irrational_delta_path(self):
-        # per-phase fallback: denominators multiply out beyond the cap here
-        assert solve_approximate(5, 0.3, 1.0, 0.1) is None
+        # no power of U is I at an irrational turn, so there is no near-revival to offer
+        with pytest.raises(ValueError, match=r"0\.15915494309189535 \(mod 1\) is not a turn u/v"):
+            solve_approximate(5, 0.3, 1.0, 0.1)
 
-    @pytest.mark.parametrize("delta", [1e15, 1e300])
-    @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3])
-    def test_large_delta_is_read_modulo_one_turn(self, delta, epsilon):
-        cert = solve_approximate(3, 0.5, delta, epsilon)
-        assert cert is None or cert.delta == delta % (2.0 * math.pi)
+    def test_radians_name_no_turn_past_the_bound(self):
+        # 2*pi/1001 is a rational turn, but only a Fraction carries it exactly
+        with pytest.raises(ValueError, match="v <= 1000 within 1e-12; pass --delta-frac"):
+            solve_approximate(2, 0.5, 2.0 * math.pi / 1001, 0.02)
+        assert solve_approximate(2, 0.5, Fraction(1, 1001), 0.02).delta_two_pi == Fraction(1, 1001)
+
+    @pytest.mark.parametrize("delta", [1e15, 1e300, -1e15, -1.0, 7.0, 100.0])
+    def test_large_delta_is_read_modulo_one_turn(self, delta):
+        turn = delta % (2.0 * math.pi) / (2.0 * math.pi) % 1.0
+        with pytest.raises(ValueError) as refused:
+            solve_approximate(3, 0.5, delta, 0.02)
+        assert f"delta/(2*pi) = {turn!r} (mod 1)" in str(refused.value)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -596,6 +604,7 @@ rational_turns = st.integers(1, 12).flatmap(
 approximate_deltas = st.one_of(
     rational_turns,  # exact companion completion
     rational_turns.map(lambda d: 2.0 * math.pi * float(d)),  # radians read back as a turn
+    # refused: radians that are no turn u/v with v <= 1000
     st.floats(0.01, 6.28).filter(lambda d: reconstruct_fraction(d, 1000, 1e-12) is None),
 )
 
@@ -611,6 +620,11 @@ approximate_deltas = st.one_of(
     epsilon=st.sampled_from([0.02, 1e-3, 1e-5]),
 )
 def test_approximate_matches_the_fraction_reference(k, rho, delta, epsilon):
+    if not isinstance(delta, Fraction) and reconstruct_fraction(delta, 1000, 1e-12) is None:
+        for solve in (solve_approximate, solve_approximate_fractions):  # both refuse
+            with pytest.raises(ValueError):
+                solve(k, rho, delta, epsilon)
+        return
     new = solve_approximate(k, rho, delta, epsilon)
     old = solve_approximate_fractions(k, rho, delta, epsilon)
     assert (new is None) == (old is None)
