@@ -24,7 +24,7 @@ from .revival import CERTIFICATION_TOL, CertificateColumns, power_deviation
 from .solver import enumerate_seeded, solve_approximate, solve_rho_edge, solve_seeded
 from .special import build_special_state, demoivre_subspace, eigenbasis
 from .tables import verify_table
-from .walk import MAX_POWER, CoinParams, WalkerState, cycle_steps, line_steps
+from .walk import CoinParams, WalkerState, cycle_steps, line_steps
 
 __all__ = ["main"]
 
@@ -275,8 +275,8 @@ def cmd_solve(args) -> int:
 
 def cmd_special(args) -> int:
     _require(args.period >= 1, f"--period must be positive, got {args.period}")
-    _require(args.period <= MAX_POWER,  # the state is evolved by the period
-             f"--period={args.period} exceeds 2**63 - 1, the largest power the engine takes")
+    _require(args.period <= 10**6,  # the fidelity curve holds and prints period + 1 entries
+             f"--period={args.period} exceeds 10**6, the longest fidelity curve `special` steps")
     params, dtp = _coin_params(args)
     basis = eigenbasis(args.k, params)
     subspace = demoivre_subspace(basis, args.period, tol=args.tol)

@@ -1,10 +1,11 @@
 """Root-of-unity detection for walk spectra and revival certification.
 
 A full revival after N steps means every eigenvalue of the step operator, exp(i*(phi +- theta_l)),
-is an N-th root of unity.  This module reads those phases off the block angles, proves them
-reduced fractions in one continued-fraction pass that stops at the first that fails, takes N as
-their denominators' LCM, and certifies candidate periods by Fourier-block powering: each 2x2
-symbol is raised to the N-th power and one inverse FFT gives U^N's first block column, O(k log k).
+is an N-th root of unity.  This module reads those phases off the block angles and proves them
+reduced fractions against a running period N, the LCM of the denominators proved so far: a float
+continued fraction proves one phase, and each time N grows one rint(N*x) pass proves the phases N
+already explains.  It certifies candidate periods by Fourier-block powering: each 2x2 symbol is
+raised to the N-th power and one inverse FFT gives U^N's first block column, O(k log k).
 `certify` measures the candidate columns of every seed search, rho edge and approximate run
 on their own k-cycle, a bounded chunk per pass, as `CertificateColumns`, the one certificate
 set every solver returns; a row is built into a `RevivalCertificate` when read, the form in
@@ -43,9 +44,9 @@ DEFAULT_MAX_DENOMINATOR = 1000
 #: Fourier blocks per engine pass in `certify`; bounds its memory
 _CHUNK_BLOCKS = 2048
 
-#: float-error allowance of the proof test in `_proved_fractions`: q, max_n <= 2**24 and
-#: |x - p/q| < 1/2, so p, q and q*max_n are exact and each of its three roundings errs by
-#: at most 1.5 * 2**-53
+#: float-error allowance of the proof window: with q (or a pass's n), M <= 2**24 and
+#: |x - p/q| < 1/2, p/q is correctly rounded, q*M exact, and each of the window's three
+#: roundings errs by <= 1.5 * 2**-53
 _PROOF_MARGIN = 1e-15
 
 #: denominator bound of the proofs: for every q <= 2**24 the window 1/(2*q*2**24) - _PROOF_MARGIN
@@ -53,35 +54,25 @@ _PROOF_MARGIN = 1e-15
 _PROVABLE_DEN = 2**24
 
 
-def _proved_fractions(x: np.ndarray, max_n: int):
-    """Last float continued-fraction convergent p/q of each x in [0, 1] with q <= max_n,
-    where max_n is first capped at 2**24 (`_PROVABLE_DEN`), until one x fails its proof.
-
-    `proved` marks |x - p/q| < 1/(2*q*max_n): any other r/s with s <= max_n lies at least
-    1/(q*s) from p/q, so p/q is Fraction(x).limit_denominator(min(max_n, 2**24)), a convergent
-    (Legendre: no semiconvergent step needed), and reduced, its float recurrence exact.
-
-    That test proves any p/q with q <= max_n, so each x is tested as its convergent settles
-    (leaves the loop).  The loop stops at the first settled x that fails: its p/q is final, so
-    not every x can prove; the x still unsettled read proved=False, the rest as without a stop.
+def _proved_fraction(x: float, max_n: int) -> tuple[int, int] | None:
+    """The last float continued-fraction convergent p/q of x in [0, 1] with q <= M, where
+    M = min(max_n, 2**24) (`_PROVABLE_DEN`), if it proves; else None.  It proves when
+    |x - p/q| < 1/(2*q*M): any other r/s with s <= M lies at least 1/(q*s) from p/q, so p/q is
+    Fraction(x).limit_denominator(M), a convergent (Legendre: no semiconvergent step needed),
+    and reduced, its float recurrence exact.
     """
     max_n = min(max_n, _PROVABLE_DEN)
-    p0, q0, p, q = (np.full_like(x, v) for v in (0.0, 1.0, 1.0, 0.0))
-    rest, live, proved = x, np.ones(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while live.any():
-            a = np.floor(rest)
-            q_next = q0 + a * q
-            live &= q_next <= max_n
-            # a settled entry keeps its p/q; its p0/q0 go unused from then on
-            p0, p = p, np.where(live, p0 + a * p, p)
-            q0, q = q, np.where(live, q_next, q)
-            live &= rest > a
-            rest = 1.0 / (rest - a)
-            proved = np.abs(x - p / q) < 0.5 / (q * max_n) - _PROOF_MARGIN
-            if not (proved | live).all():
-                break
-    return p, q, proved & ~live
+    p0, q0, p, q, rest = 0, 1, 1, 0, x
+    # past the first step q >= 1, so a rest of max_n + 1 or more (or inf) ends the expansion
+    while rest < max_n + 1:
+        a = math.floor(rest)
+        if q0 + a * q > max_n:
+            break
+        p0, q0, p, q = p, q, p0 + a * p, q0 + a * q
+        if rest == a:
+            break
+        rest = 1.0 / (rest - a)
+    return (p, q) if abs(x - p / q) < 0.5 / (q * max_n) - _PROOF_MARGIN else None
 
 
 def power_deviations(k: int, rho, delta, n) -> np.ndarray:
@@ -209,34 +200,42 @@ def certify(k: int, delta: float, rho, n, numerators, distinct, *, delta_two_pi:
                               deviations, case_tag, delta_two_pi)
 
 
-def revival_period(
-    k: int,
-    params: CoinParams,
-    max_n: int = DEFAULT_MAX_DENOMINATOR,
-) -> RevivalCertificate | None:
+def revival_period(k: int, params: CoinParams,
+                   max_n: int = DEFAULT_MAX_DENOMINATOR) -> RevivalCertificate | None:
     """Detect the revival period from the closed-form spectrum, the block angles of `su2_form`.
 
-    Every eigenphase must be proved (`_proved_fractions`) as a fraction with denominator at
-    most min(max_n, 2**24); the candidate period is the LCM of those denominators.  Returns
-    None when any phase is unproved, the LCM exceeds min(max_n, MAX_POWER), or the powered
-    operator misses I by CERTIFICATION_TOL or more.
+    Each eigenphase must be proved a fraction with denominator at most M = min(max_n, 2**24),
+    and the period n is the LCM of the denominators, grown as they are proved: the first
+    unproved phase by `_proved_fraction`, and, each time that grows n to at most M, every
+    unproved x with |x - rint(n*x)/n| < 1/(2*n*M), inside the window of that fraction reduced.
+    None when a phase fails its proof, n passes min(max_n, MAX_POWER) or U^n misses I by 1e-9.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     theta = su2_form(k, params.rho, params.alpha, params.delta)[3]
-    x = block_phases(theta, params.delta) / TWO_PI % 1.0  # the 2k eigenphases, in turns
-    p, q, proved = _proved_fractions(x, max_n)
-    if not proved.all():
-        return None
-    p, q = p.astype(np.int64), q.astype(np.int64)
-    n = math.lcm(*_distinct(q))
-    if n > min(max_n, MAX_POWER):
-        return None
+    y = block_phases(theta, params.delta).ravel() / TWO_PI  # the 2k eigenphases, in turns
+    x = y - np.floor(y)  # y % 1.0 to the bit, without numpy's slower float remainder
+    bound, n = min(max_n, _PROVABLE_DEN), 1
+    # phase i is num[i]/den[i], den[i] dividing n: its proved p/q, or rint(n*x)/n
+    num, den, todo = np.zeros(x.size, int), np.ones(x.size, int), np.arange(x.size)
+    while todo.size:
+        i, todo = todo[0], todo[1:]
+        fraction = _proved_fraction(float(x[i]), bound)
+        if fraction is None or (grown := math.lcm(n, fraction[1])) > min(max_n, MAX_POWER):
+            return None
+        num[i], den[i] = fraction
+        if n < grown <= bound:
+            # near/grown is some p/q with q | grown <= M, so its window holds this narrower one
+            near = np.rint(grown * (part := x[todo]))
+            ok = np.abs(part - near / grown) < 0.5 / (grown * bound) - _PROOF_MARGIN
+            num[todo[ok]], den[todo[ok]] = near[ok], grown
+            todo = todo[~ok]
+        n = grown
 
     deviation = power_deviation(k, params, n)
     if not deviation < CERTIFICATION_TOL:
         return None
-    j = _distinct(p % q * (n // q))
+    j = _distinct(num % den * (n // den))
     return RevivalCertificate(k, n, params.rho, params.delta, tuple(j), deviation)
 
 

@@ -4,9 +4,10 @@ None of this is on a production path: the dense 2k x 2k step matrix, the
 kron(F_k, F_2) conjugation that block-diagonalizes it, the closed form of
 each 2x2 block and the paper's scalar square-root formula for its eigenvalue
 pair, the dense full-space eigenvectors of an eigenbasis, the exact
-per-phase `reconstruct_fraction`, its reconstruction loop and the
-Fraction-built rho=1 generators that the batched revival path must reproduce
-exactly, the per-candidate Fraction seed search that the integer scan and
+per-phase `reconstruct_fraction` with its reconstruction loop, the batched
+continued-fraction proof of all 2k phases at once with the period built on it,
+and the Fraction-built rho=1 generators, which `revival_period`'s running-period
+proof must reproduce exactly, the per-candidate Fraction seed search that the integer scan and
 batched certification must reproduce, the sort/dedupe/LCM normalisation of
 Fraction generators that integer numerators over N must reproduce, and the
 Fraction-set approximate solver (with its companion and degenerate-block
@@ -33,10 +34,12 @@ import numpy as np
 
 from cyclewalk import cli
 from cyclewalk.revival import (
+    _PROOF_MARGIN,
     _PROVABLE_DEN,
     CERTIFICATION_TOL,
     DEFAULT_MAX_DENOMINATOR,
     RevivalCertificate,
+    _distinct,
     power_deviation,
 )
 from cyclewalk.solver import (
@@ -56,7 +59,7 @@ from cyclewalk.special import (
     principal_phase,
 )
 from cyclewalk.spectral import full_spectrum
-from cyclewalk.walk import CoinParams, WalkOperator, build_coin
+from cyclewalk.walk import MAX_POWER, CoinParams, WalkOperator, block_phases, build_coin, su2_form
 
 
 def build_shift_cycle(k: int) -> np.ndarray:
@@ -283,6 +286,53 @@ def revival_period_per_phase(k: int, params: CoinParams, max_n: int):
     if not deviation < CERTIFICATION_TOL:
         return None
     return n, tuple(sorted(set(fractions))), deviation
+
+
+def proved_fractions(x: np.ndarray, max_n: int):
+    """Last float continued-fraction convergent p/q of each x in [0, 1] with q <= max_n,
+    where max_n is first capped at 2**24 (`_PROVABLE_DEN`), until one x fails its proof:
+    the batched pass, over every phase at once, that `revival._proved_fraction` runs on one.
+
+    `proved` marks |x - p/q| < 1/(2*q*max_n), the window of `revival._proved_fraction`, so
+    each x is tested as its convergent settles (leaves the loop).  The loop stops at the first
+    settled x that fails: its p/q is final, so not every x can prove; the x still unsettled
+    read proved=False, the rest as without a stop.
+    """
+    max_n = min(max_n, _PROVABLE_DEN)
+    p0, q0, p, q = (np.full_like(x, v) for v in (0.0, 1.0, 1.0, 0.0))
+    rest, live, proved = x, np.ones(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while live.any():
+            a = np.floor(rest)
+            q_next = q0 + a * q
+            live &= q_next <= max_n
+            # a settled entry keeps its p/q; its p0/q0 go unused from then on
+            p0, p = p, np.where(live, p0 + a * p, p)
+            q0, q = q, np.where(live, q_next, q)
+            live &= rest > a
+            rest = 1.0 / (rest - a)
+            proved = np.abs(x - p / q) < 0.5 / (q * max_n) - _PROOF_MARGIN
+            if not (proved | live).all():
+                break
+    return p, q, proved & ~live
+
+
+def revival_period_batched(k: int, params: CoinParams, max_n: int):
+    """`revival_period` with every phase proved at once by `proved_fractions`: the period is
+    the LCM of all 2k denominators.  (N, numerators, deviation), or None."""
+    theta = su2_form(k, params.rho, params.alpha, params.delta)[3]
+    x = block_phases(theta, params.delta) / TWO_PI % 1.0
+    p, q, proved = proved_fractions(x, max_n)
+    if not proved.all():
+        return None
+    p, q = p.astype(np.int64), q.astype(np.int64)
+    n = math.lcm(*_distinct(q))
+    if n > min(max_n, MAX_POWER):
+        return None
+    deviation = power_deviation(k, params, n)
+    if not deviation < CERTIFICATION_TOL:
+        return None
+    return n, tuple(_distinct(p % q * (n // q))), deviation
 
 
 def rho_one_generators(k: int, uv: Fraction) -> set[Fraction]:

@@ -1,12 +1,17 @@
-"""The batched phase reconstruction and the integer rho=1 generators.
+"""The running-period phase proof and the integer rho=1 generators.
 
-`revival_period` reads the whole spectrum off the block angles, reconstructs it
-with one float continued fraction that stops at the first phase which cannot be
-proved, and proves each result, with no per-phase fallback; these tests check
-every proved entry against `Fraction.limit_denominator`, that a float p/q with
-q <= 2**24 proves as p/q at any max_n, the early stop and the bound it stops at,
-the whole path against the exact per-phase reference in `oracles`, and that
-large spectra never call `Fraction.limit_denominator` or build eigenvectors.
+`revival_period` reads the whole spectrum off the block angles and proves it
+against a running period n, the LCM of the denominators proved so far: the
+first unproved phase gets one float continued fraction (`_proved_fraction`),
+and each time that grows n, one rint(n*x) pass proves the phases n already
+explains, with no per-phase `Fraction` fallback.  These tests check every
+proof against `Fraction.limit_denominator`, that a float p/q with
+q <= 2**24 proves as p/q at any max_n, that the first failed proof stops the
+loop and the bound it stops at, that the proofs per call do not grow with k,
+that a pass proves no denominator past min(max_n, 2**24), the whole path
+against the batched reference `oracles.proved_fractions` and the exact
+per-phase reference in `oracles`, and that large spectra never call
+`Fraction.limit_denominator` or build eigenvectors.
 """
 
 import math
@@ -24,9 +29,15 @@ from cyclewalk import (
     solve_rho_edge,
 )
 from cyclewalk import revival, special, spectral
-from cyclewalk.revival import MAX_POWER, _proved_fractions
+from cyclewalk.revival import MAX_POWER, _proved_fraction
 from cyclewalk.walk import WalkOperator, block_phases, su2_form
-from oracles import from_generators, revival_period_per_phase, rho_one_generators
+import oracles
+from oracles import (
+    from_generators,
+    revival_period_batched,
+    revival_period_per_phase,
+    rho_one_generators,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,12 +59,11 @@ def farey_midpoint(a: int, b: int, n: int) -> float:
 
 
 def assert_proved_entries_exact(xs, max_n):
-    x = np.array(xs, dtype=float)
-    p, q, proved = _proved_fractions(x, max_n)
-    for xi, pi, qi, ok in zip(x.tolist(), p.tolist(), q.tolist(), proved.tolist()):
-        if ok:
-            assert math.gcd(int(pi), int(qi)) == 1
-            assert Fraction(int(pi), int(qi)) == Fraction(xi).limit_denominator(max_n), xi
+    for x in map(float, xs):
+        fraction = _proved_fraction(x, max_n)
+        if fraction is not None:
+            assert math.gcd(*fraction) == 1
+            assert Fraction(*fraction) == Fraction(x).limit_denominator(max_n), x
 
 
 @st.composite
@@ -87,9 +97,9 @@ def test_proved_entries_match_limit_denominator(case):
 @pytest.mark.parametrize("max_n", [1000, 10**6])
 def test_exact_small_fractions_are_proved(max_n):
     fractions = [Fraction(p, q) for q in range(1, 61) for p in range(q + 1)]
-    p, q, proved = _proved_fractions(np.array([float(f) for f in fractions]), max_n)
-    assert proved.all()
-    assert [Fraction(int(a), int(b)) for a, b in zip(p, q)] == fractions
+    proofs = [_proved_fraction(float(f), max_n) for f in fractions]
+    assert None not in proofs
+    assert [Fraction(*pq) for pq in proofs] == fractions
 
 
 float_fractions = st.integers(1, 2**24).flatmap(
@@ -103,28 +113,64 @@ float_fractions = st.integers(1, 2**24).flatmap(
 @given(fractions=float_fractions)
 def test_float_fractions_prove_at_any_max_n(fractions):
     """A float p/q with q <= 2**24 proves as p/q however far max_n reaches past q."""
-    x = np.array([float(f) for f in fractions])
     top = max(f.denominator for f in fractions)
     for max_n in (top, 2**24, 10**15, 10**400):
-        p, q, proved = _proved_fractions(x, max_n)
-        assert proved.all(), max_n
-        assert [Fraction(int(a), int(b)) for a, b in zip(p, q)] == fractions, max_n
+        proofs = [_proved_fraction(float(f), max_n) for f in fractions]
+        assert None not in proofs, max_n
+        assert [Fraction(*pq) for pq in proofs] == fractions, max_n
 
 
 def test_ties_and_wraps_are_not_proved_wrongly():
     # 0.25 at max_n=2 is equidistant from 0 and 1/2; limit_denominator keeps 0
-    p, q, proved = _proved_fractions(np.array([0.25, 0.5, 1.0]), 2)
-    assert proved.tolist() == [False, True, True]
-    assert (p[1:] / q[1:]).tolist() == [0.5, 1.0]
+    assert [_proved_fraction(x, 2) for x in (0.25, 0.5, 1.0)] == [None, (1, 2), (1, 1)]
 
 
-def test_first_settled_failure_stops_the_loop():
-    # at max_n=10, sqrt(2) - 1 settles unproved at 2/5 while 5/8 is still at 2/3: the loop
-    # stops there, and 5/8, which proves on its own, reads unproved
-    p, q, proved = _proved_fractions(np.array([math.sqrt(2) - 1, 0.625]), 10)
-    assert proved.tolist() == [False, False] and q.tolist() == [5.0, 3.0]
-    p, q, proved = _proved_fractions(np.array([0.625]), 10)
-    assert proved.tolist() == [True] and (p / q).tolist() == [0.625]
+def count_proofs(monkeypatch) -> list:
+    """The arguments of every `_proved_fraction` call `revival_period` makes from now on."""
+    calls, real = [], revival._proved_fraction
+    monkeypatch.setattr(revival, "_proved_fraction", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_first_settled_failure_stops_the_loop(monkeypatch):
+    # at max_n=10, sqrt(2) - 1 settles at 2/5, outside its window, and 5/8 proves on its own
+    assert _proved_fraction(math.sqrt(2) - 1, 10) is None
+    assert _proved_fraction(0.625, 10) == (5, 8)
+    # the first phase of this coin fails its proof, and no other phase is tried
+    calls = count_proofs(monkeypatch)
+    assert revival_period(8, CoinParams.from_delta(0.37, 1.0), max_n=1000) is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "params, max_n, period, most",
+    [
+        (CoinParams.from_delta(1.0, TWO_PI / 3), 10**6, math.lcm(2, 4096, 3 * 4096), 3),
+        (CoinParams.from_delta(0.0, TWO_PI / 3), 10**6, 6, 2),
+        (HADAMARD, 1000, None, 2),
+    ],
+    ids=["rho1", "rho0", "hadamard"],
+)
+def test_proofs_per_call_do_not_grow_with_k(monkeypatch, params, max_n, period, most):
+    # 8192 phases, yet the running period explains all but the first few in n*x passes
+    calls = count_proofs(monkeypatch)
+    cert = revival_period(4096, params, max_n=max_n)
+    assert (cert and cert.N) == period
+    assert len(calls) <= most
+
+
+def prove_phases(monkeypatch, turns, max_n):
+    """`revival_period` on these eigenphases (in turns), with every power certified."""
+    monkeypatch.setattr(revival, "block_phases", lambda *args: TWO_PI * np.array(turns))
+    monkeypatch.setattr(revival, "power_deviation", lambda *args: 0.0)
+    return revival_period(2, HADAMARD, max_n=max_n)
+
+
+def test_a_pass_proves_no_denominator_past_the_bound(monkeypatch):
+    # n = 4099 * 4111 passes M = 2**24: 1/n lies in its window, but only as a fraction over n
+    n = 4099 * 4111
+    assert n > 2**24 and _proved_fraction(1 / n, 10**15) is None
+    assert prove_phases(monkeypatch, [1 / 4099, 1 / 4111, 1 / n], 10**15) is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 64])
@@ -190,6 +236,46 @@ def test_revival_period_matches_per_phase_loop_at_k512(params):
     same_answer(512, params, 1000)
 
 
+@example(k=512, rho=1.0, delta=TWO_PI * 3 / 7, max_n=10**6)
+@example(k=512, rho=0.0, delta=TWO_PI * 5 / 11, max_n=10**15)
+@example(k=64, rho=1.0, delta=TWO_PI / 3, max_n=10**400)
+@example(k=3, rho=0.6681574410339702, delta=5.308289894912453, max_n=10**400)
+@example(k=2, rho=0.5, delta=0.0, max_n=1)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.one_of(st.integers(min_value=2, max_value=64), st.just(512)),
+    rho=weights,
+    delta=deltas,
+    max_n=st.sampled_from([1, 2, 1000, 10**6, 10**15, 10**400]),
+)
+def test_revival_period_matches_batched_reference(k, rho, delta, max_n):
+    """The same N, numerators and deviation as proving all 2k phases at once, or both None."""
+    params = CoinParams.from_delta(rho, delta)
+    cert = revival_period(k, params, max_n=max_n)
+    got = None if cert is None else (cert.N, cert.numerators, cert.max_deviation)
+    assert got == revival_period_batched(k, params, max_n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(min_value=2, max_value=32),
+    rho=st.sampled_from([0.0, 1.0]).flatmap(
+        lambda edge: st.integers(6, 16).map(lambda e: abs(edge - 10.0**-e))
+    ),
+    delta=rational_deltas,
+    max_n=st.sampled_from([1000, 10**6, 10**15]),
+)
+def test_proofs_match_the_batched_reference_without_certification(k, rho, delta, max_n):
+    """Coins just off a revival, with every power certified: only the proofs tell them apart."""
+    params = CoinParams.from_delta(rho, delta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(revival, "power_deviation", lambda *args: 0.0)
+        patch.setattr(oracles, "power_deviation", lambda *args: 0.0)
+        cert = revival_period(k, params, max_n=max_n)
+        reference = revival_period_batched(k, params, max_n)
+    assert (None if cert is None else (cert.N, cert.numerators)) == (reference and reference[:2])
+
+
 def test_large_spectrum_needs_no_per_phase_fallback(monkeypatch):
     calls = []
     real = Fraction.limit_denominator
@@ -216,9 +302,8 @@ def test_no_power_past_int64_is_tried(monkeypatch):
     # every phase of this k=3 coin proves at some q <= 2**24, but their LCM is about 2.3e38
     params = CoinParams.from_delta(0.6681574410339702, 5.308289894912453)
     x = block_phases(su2_form(3, params.rho, params.alpha, params.delta)[3], params.delta)
-    x = x / TWO_PI % 1.0
-    _, q, proved = _proved_fractions(x, 10**400)
-    assert proved.all() and math.lcm(*q.astype(int).ravel().tolist()) > MAX_POWER
+    proofs = [_proved_fraction(v, 10**400) for v in (x / TWO_PI % 1.0).ravel().tolist()]
+    assert None not in proofs and math.lcm(*(q for _, q in proofs)) > MAX_POWER
     calls = []
     monkeypatch.setattr(revival, "power_deviation", lambda *args: calls.append(args) or 0.0)
     assert revival_period(3, params, max_n=10**400) is None

@@ -704,9 +704,10 @@ class TestInputContract:
             ["verify", "--k", "3", "--rho", "2/3", "--delta-frac", "5/4", "--n", "8"],
             ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "5/4", "--period", "5"],
             ["special", "--k", "4", "--rho", "0.3", "--delta-frac", "0/1", "--period", "0"],
-            # the state would be evolved by a power past int64
+            # the fidelity curve would hold one entry per step, past the 10**6 cap (and int64)
             ["special", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--period", str(2**70)],
             ["special", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--period", str(2**63)],
+            ["special", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--period", "1000001"],
             ["simulate", "--k", "3", "--steps", "-1"],
             ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-den", "0"],
             ["solve", "--k", "3", "--case", "k3", "--delta-frac", "0/1", "--max-n", "0"],
@@ -768,6 +769,17 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert err.startswith("cyclewalk: ") and err.count("\n") == 1
+
+    def test_special_period_past_the_cap_is_refused_before_any_step(self, capsys, monkeypatch):
+        # a multiple of the period 8, so only the cap refuses it
+        monkeypatch.setattr(cli, "eigenbasis", lambda *args: pytest.fail("built a basis"))
+        monkeypatch.setattr(cli, "cycle_steps", lambda *args: pytest.fail("stepped the walk"))
+        code, out, err = run_cli(
+            capsys, "special", "--k", "3", "--rho", "2/3", "--delta-frac", "0/1", "--period", str(2**40)
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"cyclewalk: --period={2**40} exceeds 10**6, "
+                       "the longest fidelity curve `special` steps\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -18,7 +18,7 @@ from cyclewalk import (
     weight,
     weight_forms,
 )
-from cyclewalk.revival import _proved_fractions
+from cyclewalk.revival import _proved_fraction
 from oracles import (
     constant_block_fractions,
     eigenvalues_closed_form,
@@ -100,21 +100,21 @@ class TestUndefinedRhoEigenvalues:
 
 
 def proved_fraction(phase: float, max_den: int) -> Fraction | None:
-    """One phase through `revival_period`'s batched proof, in the reference's 1e-9 window."""
-    x = np.array([phase / TWO_PI % 1.0])
-    p, q, proved = _proved_fractions(x, max_den)
-    if not (proved[0] and abs(x[0] - p[0] / q[0]) < 1e-9):
+    """One phase through `revival_period`'s scalar proof, in the reference's 1e-9 window."""
+    x = phase / TWO_PI % 1.0
+    fraction = _proved_fraction(x, max_den)
+    if fraction is None or not abs(x - fraction[0] / fraction[1]) < 1e-9:
         return None
-    return Fraction(int(p[0]), int(q[0])) % 1
+    return Fraction(*fraction) % 1
 
 
 def both_readings(phase: float, max_den: int) -> set[Fraction | None]:
-    """The exact per-phase reading and the batched proof's, as a set (one element if they agree)."""
+    """The exact per-phase reading and the scalar proof's, as a set (one element if they agree)."""
     return {reconstruct_fraction(phase, max_den=max_den), proved_fraction(phase, max_den)}
 
 
 class TestReconstructFraction:
-    """The exact per-phase reference, and the batched proof on the same inputs."""
+    """The exact per-phase reference, and the scalar proof on the same inputs."""
 
     def test_pi_is_one_half(self):
         assert both_readings(math.pi, 10) == {Fraction(1, 2)}
