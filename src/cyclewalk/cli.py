@@ -198,20 +198,12 @@ def cmd_verify(args) -> int:
         deviation = power_deviation(args.k, params, args.n)
     except ValueError as exc:  # a power past 2**63 - 1, which the engine cannot take
         raise CliError(2, str(exc)) from exc
-    passed = bool(deviation < args.tol)
-    print(
-        json.dumps(
-            {
-                "k": args.k,
-                "N": args.n,
-                "rho": params.rho,
-                "delta_two_pi": str(dtp),
-                "deviation": deviation,
-                "tolerance": args.tol,
-                "pass": passed,
-            }
-        )
-    )
+    passed = deviation < args.tol
+    # the line json.dumps writes of the check as a dict; every value is a finite float, an int
+    # or a fraction's str
+    sys.stdout.write(f'{{"k": {args.k}, "N": {args.n}, "rho": {params.rho!r}, "delta_two_pi": '
+                     f'"{dtp}", "deviation": {deviation!r}, "tolerance": {args.tol!r}, '
+                     f'"pass": {("false", "true")[passed]}}}\n')
     return 0 if passed else 1
 
 
@@ -324,8 +316,9 @@ def cmd_special(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; each parse_args call returns a fresh Namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and its parser per command, by name; each parse_args
+    call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="cyclewalk",
         description="Discrete-time quantum walks on cycles and their exact revivals.",
@@ -383,11 +376,15 @@ def _build_parser() -> argparse.ArgumentParser:
     spe.add_argument("--tol", type=float, default=1e-9)
     spe.set_defaults(func=cmd_special)
 
-    return parser
+    return parser, {"simulate": sim, "verify": ver, "solve": sol, "special": spe}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    # a command parses its own flags; the top level answers only -h, no command or an unknown one
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         _require(args.k is None or args.k >= 2, f"--k must be at least 2, got {args.k}")
         for flag in ("tol", "epsilon"):  # tolerances of verify, special and solve

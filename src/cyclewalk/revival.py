@@ -84,24 +84,24 @@ def power_deviations(k: int, rho, delta, n) -> np.ndarray:
     if rho.size and not 0.0 <= rho.min() <= rho.max() <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got values in [{rho.min()}, {rho.max()}]")
     delta = np.reshape(delta, rho.shape) if np.ndim(delta) else delta  # one per coin, or raise
-    return _deviation(k, rho, delta, n)
+    return _deviation(su2_form(k, rho, delta, delta), delta, n)
 
 
-def _deviation(k: int, rho, delta, n):
-    """One engine pass over weights, phases and powers of one shape, () or (batch, 1).
+def _deviation(su2, delta, n):
+    """One engine pass over an `su2_form` and powers of one shape, () or (batch, 1).
 
     U^n - I is block circulant: its entries are those of its first block column, the inverse
     FFT of the powered symbols minus I at offset 0.  In the block form of `su2_power` those
     are, up to unit factors and the order of offsets, the entries of ifft(diag - conj(phase)),
     ifft(diag - phase) and ifft(off): O(k log k) per coin."""
-    diag, off, phase = su2_power(su2_form(k, rho, delta, delta), delta, n)
+    diag, off, phase = su2_power(su2, delta, n)
     column = np.fft.ifft(np.array([diag - phase.conj(), diag - phase, off]))
     return np.abs(column).max(axis=(0, -1))
 
 
 def power_deviation(k: int, params: CoinParams, n: int) -> float:
     """Max-entry deviation of U^n from the identity, in O(k log k): one coin, no batch axis."""
-    return float(_deviation(k, params.rho, params.delta, n))
+    return float(_deviation(su2_form(k, params.rho, params.delta, params.delta), params.delta, n))
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ def certify(k: int, delta: float, rho, n, numerators, distinct, *, delta_two_pi:
 
 def revival_period(k: int, params: CoinParams,
                    max_n: int = DEFAULT_MAX_DENOMINATOR) -> RevivalCertificate | None:
-    """Detect the revival period from the closed-form spectrum, the block angles of `su2_form`.
+    """Detect the revival period from the closed-form spectrum, the block angles of `su2_form`,
+    and certify it with the same SU(2) form: one `su2_form` per call.
 
     Each eigenphase must be proved a fraction with denominator at most M = min(max_n, 2**24),
     and the period n is the LCM of the denominators, grown as they are proved: the first
@@ -212,8 +213,9 @@ def revival_period(k: int, params: CoinParams,
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    theta = su2_form(k, params.rho, params.alpha, params.delta)[3]
-    y = block_phases(theta, params.delta).ravel() / TWO_PI  # the 2k eigenphases, in turns
+    delta = params.delta
+    su2 = su2_form(k, params.rho, delta, delta)  # theta does not read alpha
+    y = block_phases(su2[3], delta).ravel() / TWO_PI  # the 2k eigenphases, in turns
     x = y - np.floor(y)  # y % 1.0 to the bit, without numpy's slower float remainder
     bound, n = min(max_n, _PROVABLE_DEN), 1
     # phase i is num[i]/den[i], den[i] dividing n: its proved p/q, or rint(n*x)/n
@@ -232,11 +234,11 @@ def revival_period(k: int, params: CoinParams,
             todo = todo[~ok]
         n = grown
 
-    deviation = power_deviation(k, params, n)
+    deviation = float(_deviation(su2, delta, n))
     if not deviation < CERTIFICATION_TOL:
         return None
     j = _distinct(num % den * (n // den))
-    return RevivalCertificate(k, n, params.rho, params.delta, tuple(j), deviation)
+    return RevivalCertificate(k, n, params.rho, delta, tuple(j), deviation)
 
 
 def _distinct(a) -> list[int]:

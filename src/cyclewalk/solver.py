@@ -193,7 +193,7 @@ def _candidates(k: int, dtp: Fraction, xs, constants, p, q, max_n: int | None):
     u, v = dtp.as_integer_ratio()
     classes = _classes(p, q, u, v)
     (rho, p, q), *second = [_side(x, k, v, *classes) for x in xs]
-    nums, dens = _companion_pairs(p, q, u, v)
+    seeds = [(p, q)]
     if second:
         # each first-form class meets the second-form classes within the window, in order
         (other_rho, p2, q2), = second
@@ -201,10 +201,11 @@ def _candidates(k: int, dtp: Fraction, xs, constants, p, q, max_n: int | None):
         count = np.searchsorted(other_rho, rho + TWO_FORM_MATCH_TOL, side="right") - lo
         match = np.repeat(np.arange(rho.size), count)
         other = lo[match] + np.arange(match.size) - np.repeat(np.cumsum(count) - count, count)
-        pairs = zip((nums[match], dens[match]), _companion_pairs(p2[other], q2[other], u, v))
-        rho, (nums, dens) = rho[match], (np.hstack(pair) for pair in pairs)
-    nums, dens = (np.hstack([a, np.broadcast_to(c, (rho.size, c.size))])
-                  for a, c in zip((nums, dens), constants))
+        rho, seeds = rho[match], [(p[match], q[match]), (p2[other], q2[other])]
+    # the companion pairs of the matched classes only, then the constants
+    pairs = [_companion_pairs(*seed, u, v) for seed in seeds]
+    nums, dens = (np.hstack([*parts, np.broadcast_to(c, (rho.size, c.size))])
+                  for *parts, c in zip(*pairs, constants))
     n = np.lcm.reduce(dens, axis=1)
     kept = np.ones(n.shape, dtype=bool) if max_n is None else np.asarray(n <= max_n, dtype=bool)
     return rho, n, kept, *_numerators(nums[kept], dens[kept], n[kept])

@@ -568,7 +568,7 @@ def reference_simulate(argv: list[str]) -> str:
     """Stdout of `cyclewalk simulate <argv>` from the row-list emitter: every row
     held as [step, position, coin, re, im, prob] with numpy scalars, then written
     by csv.writer or json.dumps."""
-    args = cli._build_parser().parse_args(["simulate", *argv])
+    args = cli._build_parser()[1]["simulate"].parse_args(argv)
     params, _ = cli._coin_params(args)
     if args.line:
         initial = cli._initial_line_state(args.initial)

@@ -162,7 +162,7 @@ def test_proofs_per_call_do_not_grow_with_k(monkeypatch, params, max_n, period, 
 def prove_phases(monkeypatch, turns, max_n):
     """`revival_period` on these eigenphases (in turns), with every power certified."""
     monkeypatch.setattr(revival, "block_phases", lambda *args: TWO_PI * np.array(turns))
-    monkeypatch.setattr(revival, "power_deviation", lambda *args: 0.0)
+    monkeypatch.setattr(revival, "_deviation", lambda *args: 0.0)
     return revival_period(2, HADAMARD, max_n=max_n)
 
 
@@ -266,10 +266,12 @@ def test_revival_period_matches_batched_reference(k, rho, delta, max_n):
     max_n=st.sampled_from([1000, 10**6, 10**15]),
 )
 def test_proofs_match_the_batched_reference_without_certification(k, rho, delta, max_n):
-    """Coins just off a revival, with every power certified: only the proofs tell them apart."""
+    """Coins just off a revival, with every power certified: only the proofs tell them apart.
+    `revival_period` certifies through the engine pass `_deviation`, the reference through
+    `power_deviation`."""
     params = CoinParams.from_delta(rho, delta)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(revival, "power_deviation", lambda *args: 0.0)
+        patch.setattr(revival, "_deviation", lambda *args: 0.0)
         patch.setattr(oracles, "power_deviation", lambda *args: 0.0)
         cert = revival_period(k, params, max_n=max_n)
         reference = revival_period_batched(k, params, max_n)
@@ -298,6 +300,20 @@ def test_large_spectrum_needs_no_per_phase_fallback(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("k, params, period", [
+    (64, CoinParams.from_delta(0.0, TWO_PI * 3 / 7), 14),
+    (512, CoinParams.from_delta(1.0, TWO_PI * 7 / 11), math.lcm(2, 512, 11 * 512)),
+])
+def test_certification_reuses_the_proved_form(monkeypatch, k, params, period):
+    # the phases are proved from, and U^N certified with, one SU(2) form
+    forms = []
+    su2_form = revival.su2_form
+    monkeypatch.setattr(revival, "su2_form", lambda *args: forms.append(args) or su2_form(*args))
+    cert = revival_period(k, params, max_n=10**6)
+    assert cert.N == period and cert.max_deviation < 1e-9
+    assert len(forms) == 1
+
+
 def test_no_power_past_int64_is_tried(monkeypatch):
     # every phase of this k=3 coin proves at some q <= 2**24, but their LCM is about 2.3e38
     params = CoinParams.from_delta(0.6681574410339702, 5.308289894912453)
@@ -305,7 +321,7 @@ def test_no_power_past_int64_is_tried(monkeypatch):
     proofs = [_proved_fraction(v, 10**400) for v in (x / TWO_PI % 1.0).ravel().tolist()]
     assert None not in proofs and math.lcm(*(q for _, q in proofs)) > MAX_POWER
     calls = []
-    monkeypatch.setattr(revival, "power_deviation", lambda *args: calls.append(args) or 0.0)
+    monkeypatch.setattr(revival, "_deviation", lambda *args: calls.append(args) or 0.0)
     assert revival_period(3, params, max_n=10**400) is None
     assert calls == []
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from cyclewalk import CoinParams, build_walk_operator, cli, solver, special, tables, walk
 from cyclewalk.cli import main
-from cyclewalk.revival import RevivalCertificate, power_deviations
+from cyclewalk.exprs import parse_value
+from cyclewalk.revival import RevivalCertificate, power_deviation, power_deviations
 from cyclewalk.solver import solve_seeded
 from oracles import certificate_from_json, certificate_to_json, reference_simulate, walk_matrix
 from test_tables import GOLDEN_RHOS
@@ -140,6 +141,10 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--bogus"])
         assert excinfo.value.code == 2
+        # the command's own parser reports it, with the command's usage
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cyclewalk simulate ")
+        assert "cyclewalk simulate: error: unrecognized arguments: --bogus" in err
 
     # delta = 0 keeps every amplitude a product of sqrt(rho) terms, so the
     # bytes depend only on sqrt rounding, not on the order of complex products
@@ -421,6 +426,33 @@ class TestVerify:
     def test_missing_selection_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--k", "8")
         assert code == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 600),
+        rho=st.sampled_from(["0", "1", "1/2", "2/3", "0.37", "(5-sqrt5)/8", "(5+sqrt5)/8",
+                             "(1/2)*(1+cos(pi/7))", "1/3"]),
+        v=st.integers(1, 40),
+        u=st.integers(0, 39),
+        m=st.integers(1, 50),
+        off=st.integers(0, 3),
+        tol=st.floats(1e-300, 1e300),
+    )
+    @example(k=8, rho="0", v=7, u=3, m=5, off=0, tol=1e-9)  # rho=0 revives at N = 2v: pass
+    @example(k=7, rho="1/2", v=1, u=0, m=12, off=0, tol=1e-9)  # the Hadamard coin: fail
+    def test_single_check_bytes_match_json_dumps(self, k, rho, v, u, m, off, tol):
+        dtp = Fraction(u % v, v)
+        n = 2 * v * m + off  # a multiple of the rho=0 period when off is 0
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--k", str(k), "--rho", rho, "--delta-frac", f"{u % v}/{v}",
+                         "--n", str(n), "--tol", repr(tol)])
+        value = parse_value(rho)
+        deviation = power_deviation(k, CoinParams.from_delta(value, 2 * math.pi * float(dtp)), n)
+        report = {"k": k, "N": n, "rho": value, "delta_two_pi": str(dtp),
+                  "deviation": deviation, "tolerance": tol, "pass": deviation < tol}
+        assert (code, out.getvalue(), err.getvalue()) == (1 - report["pass"],
+                                                          json.dumps(report) + "\n", "")
 
     @pytest.mark.parametrize("table", [3, 4])
     def test_printed_displays_round_trip_through_rho(self, capsys, table):
@@ -864,6 +896,33 @@ class TestInputContract:
 
 
 class TestOneParser:
+    def test_a_command_parses_with_its_own_parser(self, capsys, monkeypatch):
+        progs = []
+        parse = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "parse_known_args",
+            lambda self, *a, **kw: progs.append(self.prog) or parse(self, *a, **kw),
+        )
+        code, _, _ = run_cli(capsys, *self.MIXED[1])
+        assert code == 0
+        assert progs == ["cyclewalk verify"]  # the top-level parser never parses
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--k", "8"]])
+    def test_no_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cyclewalk [-h] ")
+
+    def test_top_level_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["-h"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"    {command} " in out for command in ("simulate", "verify", "solve",
+                                                            "special"))
+
     MIXED = (
         ["verify", "--table", "1"],
         ["verify", "--k", "8", "--rho", "1/2", "--delta-frac", "0/1", "--n", "24"],
